@@ -208,7 +208,9 @@ fn load_cache(
 pub fn symbolic_memory_template(exec: &mut Executor, baseline: &Snapshot) -> Memory<TermId> {
     let mut mem: Memory<TermId> = Memory::new();
     mem.set_policy(MissingPolicy::Symbolic);
-    for (&addr, &byte) in &baseline.mem {
+    // One constant term per non-zero byte, interned in ascending address
+    // order: the order fixes term ids and hence solver models.
+    for (addr, byte) in baseline.mem.iter() {
         if symbolic_hole(addr) {
             continue; // leave uninitialized: becomes mem_XXXXXXXX on demand
         }
@@ -222,7 +224,7 @@ pub fn symbolic_memory_template(exec: &mut Executor, baseline: &Snapshot) -> Mem
     let zero = exec.constant(8, 0);
     let fill = |lo: u32, hi: u32, mem: &mut Memory<TermId>| {
         for addr in lo..hi {
-            if !symbolic_hole(addr) && !baseline.mem.contains_key(&addr) {
+            if !symbolic_hole(addr) && baseline.mem.get(addr) == 0 {
                 mem.write_u8(addr, zero);
             }
         }
@@ -258,7 +260,7 @@ fn symbolic_hole(addr: u32) -> bool {
 pub fn baseline_value_of(name: &str, baseline: &Snapshot) -> u64 {
     if let Some(hex) = name.strip_prefix("mem_") {
         let addr = u32::from_str_radix(hex, 16).expect("mem var name");
-        return *baseline.mem.get(&addr).unwrap_or(&0) as u64;
+        return baseline.mem.get(addr) as u64;
     }
     if let Some(seg) = name.strip_prefix("sel_") {
         let s = Seg::ALL

@@ -15,6 +15,8 @@ use pokemu_isa::state::flags as fl;
 use pokemu_isa::InstClass;
 use pokemu_symx::{Concrete, Dom};
 
+use crate::pipeline::CaseOutcome;
+
 /// Root causes of behavior differences, matching the classes §6.2 reports.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RootCause {
@@ -160,6 +162,9 @@ pub fn filter_undefined(a: &mut Snapshot, b: &mut Snapshot, class: Option<&InstC
 /// Compares a target snapshot against the reference, filtering undefined
 /// behavior and classifying the root cause.
 pub fn compare(reference: &Snapshot, target: &Snapshot, test_insn: &[u8]) -> Option<Difference> {
+    if reference == target {
+        return None;
+    }
     let class = class_of(test_insn);
     let mut a = reference.clone();
     let mut b = target.clone();
@@ -175,6 +180,39 @@ pub fn compare(reference: &Snapshot, target: &Snapshot, test_insn: &[u8]) -> Opt
         insn: test_insn.to_vec(),
         path_id: 0,
     })
+}
+
+/// One test's final states analyzed against the hardware oracle.
+#[derive(Debug)]
+pub(crate) struct CaseAnalysis {
+    /// The raw Lo-Fi state differs from the oracle's (before the
+    /// undefined-behavior filter: the paper's headline counting).
+    pub lofi_differs: bool,
+    /// The raw Hi-Fi state differs from the oracle's.
+    pub hifi_differs: bool,
+    /// The differences that survive the filter, Lo-Fi before Hi-Fi, each
+    /// with its target's name (`"lofi"` or `"hifi"`).
+    pub deviations: Vec<(&'static str, Difference)>,
+}
+
+/// Analyzes one test run on all three targets: raw differences, then
+/// [`compare`] for Lo-Fi and for Hi-Fi, each difference stamped with the
+/// test's `path_id`. The pipeline, the fleet and the conformance corpus all
+/// analyze through this one function.
+pub(crate) fn analyze_case(case: &CaseOutcome, test_insn: &[u8], path_id: u64) -> CaseAnalysis {
+    let deviations = [("lofi", &case.lofi), ("hifi", &case.hifi)]
+        .into_iter()
+        .filter_map(|(target, snap)| {
+            let mut d = compare(&case.hardware, snap, test_insn)?;
+            d.path_id = path_id;
+            Some((target, d))
+        })
+        .collect();
+    CaseAnalysis {
+        lofi_differs: !case.hardware.same_behavior(&case.lofi),
+        hifi_differs: !case.hardware.same_behavior(&case.hifi),
+        deviations,
+    }
 }
 
 fn classify(
@@ -241,15 +279,8 @@ fn classify(
         let gdt = pokemu_testgen::layout::GDT_BASE;
         reference
             .mem
-            .iter()
-            .filter(|(k, v)| target.mem.get(k) != Some(v))
-            .chain(
-                target
-                    .mem
-                    .iter()
-                    .filter(|(k, v)| reference.mem.get(k) != Some(v)),
-            )
-            .all(|(&k, _)| (gdt..gdt + 8192 * 8).contains(&k) && (k - gdt) % 8 == 5)
+            .diffs(&target.mem)
+            .all(|(k, _, _)| (gdt..gdt + 8192 * 8).contains(&k) && (k - gdt) % 8 == 5)
     };
     if only_gdt_accessed && !components.is_empty() {
         return RootCause::AccessedFlag;

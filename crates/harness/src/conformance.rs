@@ -32,8 +32,8 @@ use pokemu_rt::{metrics, pool, QuarantineRecord};
 use pokemu_testgen::{fnv1a, gadgets::sel, layout, ChainSegment, SegmentMeta, TestProgram};
 use pokemu_testgen::{StateItem, TestState};
 
-use crate::compare::compare;
-use crate::pipeline::{run_on_all_targets, DeviationRecord};
+use crate::compare::analyze_case;
+use crate::pipeline::{hex, run_on_all_targets, DeviationRecord};
 use crate::targets::baseline_snapshot;
 
 /// The corpus is validated against this Lo-Fi profile (the paper's QEMU
@@ -342,10 +342,6 @@ pub struct ProgramResult {
     pub deviations: Vec<DeviationRecord>,
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 /// Runs one corpus program on all three targets and records its result.
 pub fn result_of(prog: &TestProgram, fidelity: Fidelity) -> ProgramResult {
     // Scope hot-TB attribution to this program: corpus programs run back
@@ -354,19 +350,11 @@ pub fn result_of(prog: &TestProgram, fidelity: Fidelity) -> ProgramResult {
     // scope the pipeline dumps for `pokemu-report perf`.
     let _hot = pokemu_lofi::hot_scope(fnv1a(prog.name.as_bytes()));
     let case = run_on_all_targets(prog, fidelity);
-    let mut deviations = Vec::new();
-    for (target, snap) in [("lofi", &case.lofi), ("hifi", &case.hifi)] {
-        if let Some(d) = compare(&case.hardware, snap, &prog.test_insn) {
-            deviations.push(DeviationRecord {
-                target: target.to_owned(),
-                test: prog.name.clone(),
-                insn_hex: hex(&d.insn),
-                path_id: prog.path_id,
-                cause: d.cause.to_string(),
-                components: d.components.clone(),
-            });
-        }
-    }
+    let deviations = analyze_case(&case, &prog.test_insn, prog.path_id)
+        .deviations
+        .iter()
+        .map(|(target, d)| DeviationRecord::new(target, &prog.name, d))
+        .collect();
     ProgramResult {
         name: prog.name.clone(),
         path_id: prog.path_id,

@@ -51,9 +51,9 @@ use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::json::{self, escape, Value};
 use pokemu_rt::{fault, metrics, rng};
 
-use crate::compare::compare;
+use crate::compare::analyze_case;
 use crate::manifest::{deviation_json, note_write_failure};
-use crate::pipeline::{generate_for_instruction, run_on_all_targets, DeviationRecord};
+use crate::pipeline::{generate_for_instruction, hex, run_on_all_targets, DeviationRecord};
 use crate::targets::baseline_snapshot;
 
 /// Environment variable a worker sets to its shard name (`shard-N`) so
@@ -196,10 +196,6 @@ pub fn config_fingerprint(config: &FleetConfig) -> String {
 
 fn shard_name(shard: usize) -> String {
     format!("shard-{shard}")
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Write-temp + rename: a crash between the two calls leaves the previous
@@ -525,35 +521,16 @@ fn process_instruction(
     };
     for p in &gen.programs {
         let case = run_on_all_targets(p, Fidelity::QEMU_LIKE);
-        if !case.hardware.same_behavior(&case.lofi) {
-            rec.lofi_differences += 1;
-        }
-        if !case.hardware.same_behavior(&case.hifi) {
-            rec.hifi_differences += 1;
-        }
-        if let Some(mut d) = compare(&case.hardware, &case.lofi, &p.test_insn) {
-            d.path_id = p.path_id;
-            rec.lofi_filtered += 1;
-            rec.deviations.push(DeviationRecord {
-                target: "lofi".to_owned(),
-                test: case.name.clone(),
-                insn_hex: rec.hex.clone(),
-                path_id: d.path_id,
-                cause: d.cause.to_string(),
-                components: d.components.clone(),
-            });
-        }
-        if let Some(mut d) = compare(&case.hardware, &case.hifi, &p.test_insn) {
-            d.path_id = p.path_id;
-            rec.hifi_filtered += 1;
-            rec.deviations.push(DeviationRecord {
-                target: "hifi".to_owned(),
-                test: case.name.clone(),
-                insn_hex: rec.hex.clone(),
-                path_id: d.path_id,
-                cause: d.cause.to_string(),
-                components: d.components.clone(),
-            });
+        let analysis = analyze_case(&case, &p.test_insn, p.path_id);
+        rec.lofi_differences += usize::from(analysis.lofi_differs);
+        rec.hifi_differences += usize::from(analysis.hifi_differs);
+        for (target, d) in &analysis.deviations {
+            match *target {
+                "lofi" => rec.lofi_filtered += 1,
+                _ => rec.hifi_filtered += 1,
+            }
+            rec.deviations
+                .push(DeviationRecord::new(target, &case.name, d));
         }
     }
     rec

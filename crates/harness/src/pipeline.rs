@@ -32,7 +32,7 @@ use pokemu_isa::snapshot::Snapshot;
 use pokemu_lofi::Fidelity;
 use pokemu_testgen::TestProgram;
 
-use crate::compare::{compare, Clusters};
+use crate::compare::{analyze_case, Clusters, Difference};
 use crate::targets::{baseline_snapshot, HardwareTarget, HiFiTarget, LofiTarget, Target};
 
 /// Pipeline configuration.
@@ -123,6 +123,20 @@ pub struct DeviationRecord {
     pub cause: String,
     /// The differing snapshot components.
     pub components: Vec<String>,
+}
+
+impl DeviationRecord {
+    /// The record of `target`'s deviation `d` on test `test`.
+    pub(crate) fn new(target: &str, test: &str, d: &Difference) -> DeviationRecord {
+        DeviationRecord {
+            target: target.to_owned(),
+            test: test.to_owned(),
+            insn_hex: hex(&d.insn),
+            path_id: d.path_id,
+            cause: d.cause.to_string(),
+            components: d.components.clone(),
+        }
+    }
 }
 
 /// Per-stage cost breakdown for one pipeline run (the E6 experiment):
@@ -304,11 +318,12 @@ struct ItemOutcome {
     solver_queries: u64,
     unknown_queries: u64,
     infeasible_paths: usize,
-    /// `(test name, instruction bytes, path id, outcome)` per test program.
-    cases: Vec<(String, Vec<u8>, u64, CaseOutcome)>,
+    /// `(instruction bytes, path id, outcome)` per test program.
+    cases: Vec<(Vec<u8>, u64, CaseOutcome)>,
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Lower-case hex of `bytes`, as instruction bytes appear in records.
+pub(crate) fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
@@ -426,7 +441,7 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                         .iter()
                         .map(|p| {
                             let case = run_on_all_targets(p, config.lofi_fidelity);
-                            (p.name.clone(), p.test_insn.clone(), p.path_id, case)
+                            (p.test_insn.clone(), p.path_id, case)
                         })
                         .collect::<Vec<_>>()
                 },
@@ -481,24 +496,18 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                 out.fully_explored += 1;
             }
             out.total_paths += n_paths;
-            for (case_name, insn, path_id, case) in cases {
-                if !case.hardware.same_behavior(&case.lofi) {
-                    out.lofi_differences += 1;
-                }
-                if !case.hardware.same_behavior(&case.hifi) {
-                    out.hifi_differences += 1;
-                }
-                if let Some(mut d) = compare(&case.hardware, &case.lofi, &insn) {
-                    d.path_id = path_id;
-                    out.lofi_filtered += 1;
-                    out.lofi_clusters.add(&case_name, &d);
-                    record_deviation(&mut out.deviations, "lofi", &case_name, &d);
-                }
-                if let Some(mut d) = compare(&case.hardware, &case.hifi, &insn) {
-                    d.path_id = path_id;
-                    out.hifi_filtered += 1;
-                    out.hifi_clusters.add(&case_name, &d);
-                    record_deviation(&mut out.deviations, "hifi", &case_name, &d);
+            for (insn, path_id, case) in cases {
+                let analysis = analyze_case(&case, &insn, path_id);
+                out.lofi_differences += usize::from(analysis.lofi_differs);
+                out.hifi_differences += usize::from(analysis.hifi_differs);
+                for (target, d) in &analysis.deviations {
+                    let (filtered, clusters) = match *target {
+                        "lofi" => (&mut out.lofi_filtered, &mut out.lofi_clusters),
+                        _ => (&mut out.hifi_filtered, &mut out.hifi_clusters),
+                    };
+                    *filtered += 1;
+                    clusters.add(&case.name, d);
+                    record_deviation(&mut out.deviations, target, &case.name, d);
                 }
             }
         }
@@ -625,17 +634,10 @@ fn record_deviation(
     deviations: &mut Vec<DeviationRecord>,
     target: &str,
     test: &str,
-    d: &crate::compare::Difference,
+    d: &Difference,
 ) {
     flight::note("pipeline.deviation", || {
         format!("{target} {test} insn={} cause={}", hex(&d.insn), d.cause)
     });
-    deviations.push(DeviationRecord {
-        target: target.to_owned(),
-        test: test.to_owned(),
-        insn_hex: hex(&d.insn),
-        path_id: d.path_id,
-        cause: d.cause.to_string(),
-        components: d.components.clone(),
-    });
+    deviations.push(DeviationRecord::new(target, test, d));
 }

@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use pokemu_hifi::HiFi;
-use pokemu_hwref::{TrapReason, Vmm};
+use pokemu_hwref::Vmm;
 use pokemu_isa::snapshot::Snapshot;
 use pokemu_isa::state::{attrs, Seg};
 use pokemu_lofi::{Fidelity, Lofi};
@@ -152,7 +152,6 @@ impl Target for HardwareTarget {
             }
             vmm.load_image(layout::CODE_BASE, &prog.code);
             let reason = vmm.run(STEP_BUDGET);
-            let _ = matches!(reason, TrapReason::Halt);
             vmm.snapshot(reason)
         })
     }

@@ -184,9 +184,15 @@ mod tests {
         let mut emu = HiFi::new();
         emu.load_image(0x100, &[0xaa, 0x00, 0xbb]);
         let snap = emu.snapshot(RunExit::Halted);
-        assert_eq!(snap.mem.get(&0x100), Some(&0xaa));
-        assert_eq!(snap.mem.get(&0x101), None, "zero bytes are omitted");
-        assert_eq!(snap.mem.get(&0x102), Some(&0xbb));
+        assert_eq!(snap.mem.get(0x100), 0xaa);
+        assert_eq!(snap.mem.get(0x101), 0);
+        assert_eq!(snap.mem.get(0x102), 0xbb);
+        let bytes: Vec<(u32, u8)> = snap.mem.iter().collect();
+        assert_eq!(
+            bytes,
+            [(0x100, 0xaa), (0x102, 0xbb)],
+            "zero bytes are omitted"
+        );
         assert_eq!(snap.outcome, Outcome::Halted);
     }
 }

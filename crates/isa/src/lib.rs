@@ -37,5 +37,5 @@ pub use decode::{decode, op_info, OpInfo};
 pub use inst::{Inst, InstClass};
 pub use interp::{execute_decoded, step, Quirks, StepOutcome};
 pub use mem::{Memory, MissingPolicy};
-pub use snapshot::{Outcome, SegSnapshot, Snapshot};
+pub use snapshot::{Outcome, PagedMem, SegSnapshot, Snapshot};
 pub use state::{Exception, Gpr, Machine, Seg};

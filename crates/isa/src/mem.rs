@@ -147,13 +147,6 @@ impl<V: Copy> Memory<V> {
         }
     }
 
-    /// Reads a concrete byte, if the stored value is (or defaults to) a
-    /// constant. Used by snapshot comparison.
-    pub fn read_concrete<D: Dom<V = V>>(&mut self, d: &mut D, addr: u32) -> Option<u64> {
-        let v = self.read_u8(d, addr);
-        d.as_const(v)
-    }
-
     /// Iterates over all initialized bytes as `(address, value)` pairs in
     /// address order.
     pub fn iter_initialized(&self) -> impl Iterator<Item = (u32, V)> + '_ {

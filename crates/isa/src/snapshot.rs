@@ -4,14 +4,129 @@
 //! (Hi-Fi emulator, Lo-Fi emulator, hardware oracle) dumps its CPU state and
 //! physical memory into this common format — the paper implements "our own
 //! file format to simplify comparison" for the same reason (§5.1).
-//! Uninitialized/zero memory is omitted: all targets zero-fill, so only
-//! non-zero bytes are significant.
+//! All targets zero-fill, so only non-zero bytes are significant: memory is
+//! a [`PagedMem`] holding just the 4-KiB pages that contain one.
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use pokemu_symx::{Concrete, Dom};
 
 use crate::state::{Machine, Seg};
+
+/// Bytes per [`PagedMem`] page.
+pub const PAGE_SIZE: usize = 4096;
+const PAGE_SHIFT: u32 = 12;
+
+type Page = [u8; PAGE_SIZE];
+
+static ZERO_PAGE: Page = [0; PAGE_SIZE];
+
+/// A snapshot's physical memory: every 4-KiB page that holds a non-zero
+/// byte, sorted by page number. Bytes outside those pages read as zero.
+///
+/// No all-zero page is ever stored, so the image is canonical and the
+/// derived equality is exact: two images are `==` exactly when every byte
+/// agrees. [`PagedMem::iter`] yields the non-zero bytes in ascending address
+/// order, the order exploration interns baseline constants in.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct PagedMem {
+    pages: Vec<(u32, Box<Page>)>,
+}
+
+impl PagedMem {
+    /// Copies a flat RAM image (byte `i` at address `i`), keeping only the
+    /// pages with content.
+    pub fn from_flat(ram: &[u8]) -> PagedMem {
+        let mut pages = Vec::new();
+        for (pno, chunk) in ram.chunks(PAGE_SIZE).enumerate() {
+            // Guest RAM is almost entirely zero; the OR-reduce vectorizes.
+            if chunk.iter().fold(0, |acc, &b| acc | b) != 0 {
+                let mut page = Box::new([0; PAGE_SIZE]);
+                page[..chunk.len()].copy_from_slice(chunk);
+                pages.push((pno as u32, page));
+            }
+        }
+        PagedMem { pages }
+    }
+
+    /// Page number `pno`, or the zero page when absent.
+    fn page(&self, pno: u32) -> &Page {
+        match self.pages.binary_search_by_key(&pno, |(p, _)| *p) {
+            Ok(i) => &self.pages[i].1,
+            Err(_) => &ZERO_PAGE,
+        }
+    }
+
+    /// The byte at `addr`, zero when absent.
+    pub fn get(&self, addr: u32) -> u8 {
+        self.page(addr >> PAGE_SHIFT)[addr as usize % PAGE_SIZE]
+    }
+
+    /// The non-zero bytes as `(address, byte)`, in ascending address order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u8)> + '_ {
+        self.pages.iter().flat_map(|(pno, page)| {
+            let base = pno << PAGE_SHIFT;
+            page.iter()
+                .enumerate()
+                .filter(|(_, &b)| b != 0)
+                .map(move |(i, &b)| (base + i as u32, b))
+        })
+    }
+
+    /// The bytes in which `self` and `other` differ, as `(address, self
+    /// byte, other byte)` in ascending address order. Equal pages are
+    /// skipped with one comparison each.
+    pub fn diffs<'a>(&'a self, other: &'a PagedMem) -> impl Iterator<Item = (u32, u8, u8)> + 'a {
+        let mut pnos: Vec<u32> = self
+            .pages
+            .iter()
+            .chain(&other.pages)
+            .map(|(p, _)| *p)
+            .collect();
+        pnos.sort_unstable();
+        pnos.dedup();
+        pnos.into_iter()
+            .map(move |pno| (pno, self.page(pno), other.page(pno)))
+            .filter(|(_, x, y)| x != y)
+            .flat_map(|(pno, x, y)| {
+                let base = pno << PAGE_SHIFT;
+                x.iter()
+                    .zip(y)
+                    .enumerate()
+                    .filter(|(_, (a, b))| a != b)
+                    .map(move |(i, (&a, &b))| (base + i as u32, a, b))
+            })
+    }
+}
+
+/// Builds the image from `(address, byte)` pairs in ascending address
+/// order, as [`crate::Memory::iter_initialized`] yields them. Zero bytes
+/// are skipped.
+impl FromIterator<(u32, u8)> for PagedMem {
+    fn from_iter<I: IntoIterator<Item = (u32, u8)>>(bytes: I) -> PagedMem {
+        let mut pages: Vec<(u32, Box<Page>)> = Vec::new();
+        for (addr, b) in bytes.into_iter().filter(|&(_, b)| b != 0) {
+            let pno = addr >> PAGE_SHIFT;
+            match pages.last_mut() {
+                Some((last, page)) if *last == pno => page[addr as usize % PAGE_SIZE] = b,
+                last => {
+                    debug_assert!(last.is_none_or(|(p, _)| *p < pno), "addresses must ascend");
+                    let mut page = Box::new([0; PAGE_SIZE]);
+                    page[addr as usize % PAGE_SIZE] = b;
+                    pages.push((pno, page));
+                }
+            }
+        }
+        PagedMem { pages }
+    }
+}
+
+/// Prints the non-zero bytes as an `{address: byte}` map.
+impl fmt::Debug for PagedMem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// How a test-program execution ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,8 +180,8 @@ pub struct Snapshot {
     pub gdtr: (u32, u16),
     /// IDTR (base, limit).
     pub idtr: (u32, u16),
-    /// Non-zero physical memory bytes.
-    pub mem: BTreeMap<u32, u8>,
+    /// Physical memory.
+    pub mem: PagedMem,
     /// How execution ended.
     pub outcome: Outcome,
 }
@@ -90,13 +205,11 @@ impl Snapshot {
                 attrs: g(d, sr.cache.attrs) as u16,
             };
         }
-        let mut mem = BTreeMap::new();
-        for (addr, v) in m.mem.iter_initialized() {
-            let b = d.as_const(v).expect("concrete memory") as u8;
-            if b != 0 {
-                mem.insert(addr, b);
-            }
-        }
+        let mem = m
+            .mem
+            .iter_initialized()
+            .map(|(addr, v)| (addr, d.as_const(v).expect("concrete memory") as u8))
+            .collect();
         Snapshot {
             gpr: std::array::from_fn(|i| g(d, m.gpr[i])),
             eip: m.eip,
@@ -161,19 +274,12 @@ impl Snapshot {
         if self.idtr != other.idtr {
             out.push(format!("idtr: {:?} vs {:?}", self.idtr, other.idtr));
         }
-        // Memory: union of keys, zero default.
-        let keys: std::collections::BTreeSet<u32> =
-            self.mem.keys().chain(other.mem.keys()).copied().collect();
         let mut mem_diffs = 0;
-        for k in keys {
-            let a = self.mem.get(&k).copied().unwrap_or(0);
-            let b = other.mem.get(&k).copied().unwrap_or(0);
-            if a != b {
-                if mem_diffs < 8 {
-                    out.push(format!("mem[{k:#x}]: {a:#x} vs {b:#x}"));
-                }
-                mem_diffs += 1;
+        for (addr, a, b) in self.mem.diffs(&other.mem) {
+            if mem_diffs < 8 {
+                out.push(format!("mem[{addr:#x}]: {a:#x} vs {b:#x}"));
             }
+            mem_diffs += 1;
         }
         if mem_diffs >= 8 {
             out.push(format!("... {mem_diffs} memory bytes differ in total"));
@@ -181,8 +287,9 @@ impl Snapshot {
         out
     }
 
-    /// `true` when the snapshots are behaviorally identical.
+    /// `true` when the snapshots are behaviorally identical, i.e. when
+    /// [`Snapshot::diff`] is empty.
     pub fn same_behavior(&self, other: &Snapshot) -> bool {
-        self.diff(other).is_empty()
+        self == other
     }
 }

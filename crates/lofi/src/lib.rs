@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use pokemu_isa::snapshot::{Outcome, SegSnapshot, Snapshot};
+use pokemu_isa::snapshot::{Outcome, PagedMem, SegSnapshot, Snapshot};
 use pokemu_isa::state::Exception;
 use pokemu_rt::metrics;
 
@@ -827,35 +827,6 @@ impl Lofi {
                 attrs: s.attrs,
             };
         }
-        // Guest RAM is one flat allocation that is almost entirely zero;
-        // skip it a word at a time and only byte-scan words with content
-        // (the reference target snapshots sparsely via `iter_initialized`,
-        // so a byte-granular scan here would bill multi-millisecond costs
-        // to the Lo-Fi side alone).
-        let mut mem = std::collections::BTreeMap::new();
-        const CHUNK: usize = 4096;
-        let chunks = m.ram.chunks_exact(CHUNK);
-        let tail_start = m.ram.len() - chunks.remainder().len();
-        for (ci, chunk) in chunks.enumerate() {
-            // OR-reduce the whole chunk first (vectorizes to a handful of
-            // wide loads); only chunks with content get the byte scan.
-            let any = chunk.chunks_exact(8).fold(0u64, |acc, w| {
-                acc | u64::from_ne_bytes(w.try_into().expect("8-byte chunk"))
-            });
-            if any == 0 {
-                continue;
-            }
-            for (j, &b) in chunk.iter().enumerate() {
-                if b != 0 {
-                    mem.insert((ci * CHUNK + j) as u32, b);
-                }
-            }
-        }
-        for (j, &b) in m.ram[tail_start..].iter().enumerate() {
-            if b != 0 {
-                mem.insert((tail_start + j) as u32, b);
-            }
-        }
         Snapshot {
             gpr: m.gpr,
             eip: m.eip,
@@ -867,7 +838,9 @@ impl Lofi {
             cr4: m.cr4,
             gdtr: m.gdtr,
             idtr: m.idtr,
-            mem,
+            // Guest RAM is one flat, almost entirely zero allocation: only
+            // the 4-KiB pages with content are copied.
+            mem: PagedMem::from_flat(&m.ram),
             outcome: exit.outcome(),
         }
     }

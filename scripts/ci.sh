@@ -13,6 +13,9 @@ cargo build --workspace --release --offline
 echo "== cargo test"
 cargo test --workspace --offline -q
 
+echo "== liftbench tests (the lifted-test benchmark of BENCHMARK.json)"
+cargo test --offline -q --manifest-path liftbench/Cargo.toml
+
 echo "== smoke bench (pokemu_rt::bench end to end)"
 cargo run --release --offline -p pokemu-bench --bin smoke-bench
 
