@@ -7,12 +7,11 @@
 //! exact list of initializer gadgets needed to retrigger that path at run
 //! time.
 
-use std::collections::HashMap;
-
 use pokemu_isa::interp::{self, Quirks, StepOutcome};
 use pokemu_isa::snapshot::Snapshot;
 use pokemu_isa::state::{Gpr, Machine, Seg};
 use pokemu_isa::translate::{descriptor_checks, DESC_SUMMARY_KEY};
+use pokemu_isa::Memory;
 use pokemu_rt::metrics;
 use pokemu_solver::TermId;
 use pokemu_symx::{minimize, Dom, Executor, ExploreConfig, MinimizeStats};
@@ -122,7 +121,7 @@ struct MachineProbe {
     gdtr_limit: TermId,
     idtr_limit: TermId,
     msrs: [TermId; 3],
-    mem: HashMap<u32, TermId>,
+    mem: Memory<TermId>,
 }
 
 impl MachineProbe {
@@ -140,7 +139,7 @@ impl MachineProbe {
             gdtr_limit: m.gdtr.limit,
             idtr_limit: m.idtr.limit,
             msrs: [m.msrs.sysenter_cs, m.msrs.sysenter_esp, m.msrs.sysenter_eip],
-            mem: m.mem.iter_initialized().collect(),
+            mem: m.mem.clone(),
         }
     }
 
@@ -183,11 +182,7 @@ impl MachineProbe {
         // merely materialized by an on-demand read, which also lands here —
         // acceptable, since "mem" only documents that memory effects may
         // have accumulated.
-        let mem_changed = m.mem.initialized_len() != self.mem.len()
-            || m.mem
-                .iter_initialized()
-                .any(|(addr, v)| self.mem.get(&addr) != Some(&v));
-        if mem_changed {
+        if m.mem != self.mem {
             out.push("mem".to_owned());
         }
         out
@@ -228,13 +223,16 @@ pub fn explore_state_space(
     let mem_template = {
         // Build inside a throwaway exploration so on-demand variables exist
         // consistently; the template itself is deterministic.
+        let _f = pokemu_rt::prof::frame("explore.mem_template");
         symstate::symbolic_memory_template(&mut exec, baseline)
     };
 
     let insn_owned: Vec<u8> = insn.to_vec();
     let quirks = Quirks::HIFI;
     let result = exec.explore(|e| {
-        let mut m = symstate::symbolic_machine(e, baseline, &mem_template);
+        let mut m = pokemu_rt::prof::framed("explore.symbolic_machine", || {
+            symstate::symbolic_machine(e, baseline, &mem_template)
+        });
         // Decode from the concrete test bytes — exploration starts after
         // fetch/decode (§3.4).
         let decoded = pokemu_isa::decode(e, |d, i| {
@@ -244,34 +242,42 @@ pub fn explore_state_space(
             Ok(i) => i,
             Err(fault) => return (PathEnd::DecodeFault(fault.vector()), Vec::new()),
         };
-        let before = MachineProbe::of(&m);
+        let before = pokemu_rt::prof::framed("explore.clobbers", || MachineProbe::of(&m));
         let end = match interp::execute_decoded(e, &mut m, &quirks, &inst, layout::CODE_BASE) {
             StepOutcome::Normal => PathEnd::Retired,
             StepOutcome::Halt => PathEnd::Halted,
             StepOutcome::Exception(ex) => PathEnd::Exception(ex.vector()),
         };
+        let _f = pokemu_rt::prof::frame("explore.clobbers");
         (end, before.clobbers_of(&m))
     });
 
     let env = symstate::baseline_env(&exec, baseline);
+    let named_vars = exec.named_vars();
     let mut paths = Vec::with_capacity(result.paths.len());
     for p in &result.paths {
         let (model, mstats) = if config.minimize {
+            let _f = pokemu_rt::prof::frame("explore.minimize");
             let _o = pokemu_solver::origin::scoped("minimize");
             pokemu_solver::origin::set_path_id(p.path_id);
             minimize(exec.pool(), &p.path_condition, &p.model, &env)
         } else {
             (p.model.clone(), MinimizeStats::default())
         };
+        if mstats.invalid_model {
+            pokemu_rt::flight::note("explore.invalid_model", || {
+                format!("insn={} path={:016x}", insn_hex(insn), p.path_id)
+            });
+        }
         // Extract the state difference as gadget items.
         let mut items = Vec::new();
-        for (name, var) in exec.named_vars() {
-            let Some(val) = model.value(var) else {
+        for (name, var) in &named_vars {
+            let Some(val) = model.value(*var) else {
                 continue;
             };
-            let base = symstate::baseline_value_of(&name, baseline);
+            let base = symstate::baseline_value_of(name, baseline);
             if val != base {
-                if let Some(item) = symstate::state_item_of(&name, val) {
+                if let Some(item) = symstate::state_item_of(name, val) {
                     items.push(item);
                 }
             }

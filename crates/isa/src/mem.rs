@@ -26,7 +26,10 @@ pub enum MissingPolicy {
     Symbolic,
 }
 
-#[derive(Debug, Clone)]
+/// One 4-KiB page. A page is created only by a write or by a read that
+/// materializes a byte, so no page is ever all-`None`: two memories are
+/// equal exactly when they hold the same initialized bytes.
+#[derive(Debug, Clone, PartialEq)]
 struct Page<V> {
     bytes: Vec<Option<V>>,
 }
@@ -40,7 +43,7 @@ impl<V: Copy> Page<V> {
 }
 
 /// Sparse physical memory over domain values.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Memory<V> {
     pages: HashMap<u32, Page<V>>,
     policy: MissingPolicy,
@@ -160,14 +163,6 @@ impl<V: Copy> Memory<V> {
                 .filter_map(move |(i, b)| b.map(|v| (base + i as u32, v)))
         })
     }
-
-    /// Number of initialized bytes (for diagnostics).
-    pub fn initialized_len(&self) -> usize {
-        self.pages
-            .values()
-            .map(|p| p.bytes.iter().filter(|b| b.is_some()).count())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -219,6 +214,25 @@ mod tests {
         let c = m.read_u8(&mut e, 0x3001);
         assert_ne!(a, c);
         assert!(e.pool().as_const(a).is_none());
+    }
+
+    #[test]
+    fn equal_exactly_when_the_same_bytes_are_initialized() {
+        use pokemu_symx::Executor;
+        let mut e = Executor::new();
+        let mut m: Memory<_> = Memory::new();
+        m.set_policy(MissingPolicy::Symbolic);
+        let before = m.clone();
+        // A read that materializes a byte changes the memory...
+        let a = m.read_u8(&mut e, 0x3000);
+        assert_ne!(m, before);
+        let read = m.clone();
+        // ...as does a write, while rewriting the same term does not.
+        m.write_u8(0x3000, a);
+        assert_eq!(m, read);
+        let k = e.constant(8, 1);
+        m.write_u8(0x3000, k);
+        assert_ne!(m, read);
     }
 
     #[test]

@@ -709,8 +709,7 @@ impl TermPool {
     }
 
     /// Like [`TermPool::eval`] but reuses `cache` across calls: useful when
-    /// evaluating many terms under the same assignment (e.g. a whole path
-    /// condition during state-difference minimization).
+    /// evaluating many terms under the same assignment.
     pub fn eval_cached(
         &self,
         t: TermId,
@@ -723,127 +722,116 @@ impl TermPool {
             if cache.contains_key(&id) {
                 continue;
             }
-            let node = self.nodes[id.index()];
             if !ready {
                 stack.push((id, true));
-                match node.op {
-                    Op::Var(_) | Op::Const(_) => {}
-                    Op::Not(a) | Op::Neg(a) | Op::Extract(a, _, _) | Op::ZExt(a) | Op::SExt(a) => {
-                        stack.push((a, false));
-                    }
-                    Op::And(a, b)
-                    | Op::Or(a, b)
-                    | Op::Xor(a, b)
-                    | Op::Add(a, b)
-                    | Op::Sub(a, b)
-                    | Op::Mul(a, b)
-                    | Op::UDiv(a, b)
-                    | Op::URem(a, b)
-                    | Op::Shl(a, b)
-                    | Op::LShr(a, b)
-                    | Op::AShr(a, b)
-                    | Op::Eq(a, b)
-                    | Op::Ult(a, b)
-                    | Op::Slt(a, b)
-                    | Op::Concat(a, b) => {
-                        stack.push((a, false));
-                        stack.push((b, false));
-                    }
-                    Op::Ite(c, a, b) => {
-                        stack.push((c, false));
-                        stack.push((a, false));
-                        stack.push((b, false));
-                    }
-                }
+                stack.extend(self.operands(id).map(|a| (a, false)));
                 continue;
             }
-            let w = node.width;
-            let get = |x: TermId, cache: &HashMap<TermId, u64>| -> u64 { cache[&x] };
-            let v = match node.op {
-                Op::Var(v) => mask(
-                    w,
-                    *env.get(&v).unwrap_or_else(|| {
-                        panic!("eval: unassigned variable {}", self.var_name(v))
-                    }),
-                ),
-                Op::Const(c) => c,
-                Op::Not(a) => mask(w, !get(a, cache)),
-                Op::Neg(a) => mask(w, get(a, cache).wrapping_neg()),
-                Op::And(a, b) => get(a, cache) & get(b, cache),
-                Op::Or(a, b) => get(a, cache) | get(b, cache),
-                Op::Xor(a, b) => get(a, cache) ^ get(b, cache),
-                Op::Add(a, b) => mask(w, get(a, cache).wrapping_add(get(b, cache))),
-                Op::Sub(a, b) => mask(w, get(a, cache).wrapping_sub(get(b, cache))),
-                Op::Mul(a, b) => mask(w, get(a, cache).wrapping_mul(get(b, cache))),
-                Op::UDiv(a, b) => {
-                    let (x, y) = (get(a, cache), get(b, cache));
-                    if y == 0 {
-                        mask(w, u64::MAX)
-                    } else {
-                        x / y
-                    }
-                }
-                Op::URem(a, b) => {
-                    let (x, y) = (get(a, cache), get(b, cache));
-                    if y == 0 {
-                        x
-                    } else {
-                        x % y
-                    }
-                }
-                Op::Shl(a, b) => {
-                    let (x, s) = (get(a, cache), get(b, cache));
-                    if s >= w as u64 {
-                        0
-                    } else {
-                        mask(w, x << s)
-                    }
-                }
-                Op::LShr(a, b) => {
-                    let (x, s) = (get(a, cache), get(b, cache));
-                    if s >= w as u64 {
-                        0
-                    } else {
-                        x >> s
-                    }
-                }
-                Op::AShr(a, b) => {
-                    let (x, s) = (get(a, cache), get(b, cache));
-                    let aw = self.width(a);
-                    let sx = sext64(aw, x);
-                    if s >= aw as u64 {
-                        mask(w, (sx >> 63) as u64)
-                    } else {
-                        mask(w, (sx >> s) as u64)
-                    }
-                }
-                Op::Eq(a, b) => (get(a, cache) == get(b, cache)) as u64,
-                Op::Ult(a, b) => (get(a, cache) < get(b, cache)) as u64,
-                Op::Slt(a, b) => {
-                    let aw = self.width(a);
-                    (sext64(aw, get(a, cache)) < sext64(aw, get(b, cache))) as u64
-                }
-                Op::Ite(c, a, b) => {
-                    if get(c, cache) != 0 {
-                        get(a, cache)
-                    } else {
-                        get(b, cache)
-                    }
-                }
-                Op::Extract(a, hi, lo) => mask(hi - lo + 1, get(a, cache) >> lo),
-                Op::Concat(a, b) => {
-                    let wl = self.width(b);
-                    (get(a, cache) << wl) | get(b, cache)
-                }
-                Op::ZExt(a) => get(a, cache),
-                Op::SExt(a) => {
-                    let aw = self.width(a);
-                    mask(w, sext64(aw, get(a, cache)) as u64)
-                }
-            };
+            let mut args = [0; 3];
+            for (slot, a) in args.iter_mut().zip(self.operands(id)) {
+                *slot = cache[&a];
+            }
+            let v = self.eval_node(id, args, |v| {
+                *env.get(&v)
+                    .unwrap_or_else(|| panic!("eval: unassigned variable {}", self.var_name(v)))
+            });
             cache.insert(id, v);
         }
         cache[&t]
+    }
+
+    /// The operands of `t` in operator order (`c, a, b` for an ITE); none
+    /// for variables and constants. Each has a smaller id than `t`, since
+    /// the pool interns a term only after its operands, so ascending id
+    /// order is a topological order of any set of terms.
+    pub fn operands(&self, t: TermId) -> impl Iterator<Item = TermId> {
+        let (ops, n) = match self.nodes[t.index()].op {
+            Op::Var(_) | Op::Const(_) => ([t; 3], 0),
+            Op::Not(a) | Op::Neg(a) | Op::Extract(a, _, _) | Op::ZExt(a) | Op::SExt(a) => {
+                ([a, t, t], 1)
+            }
+            Op::And(a, b)
+            | Op::Or(a, b)
+            | Op::Xor(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::UDiv(a, b)
+            | Op::URem(a, b)
+            | Op::Shl(a, b)
+            | Op::LShr(a, b)
+            | Op::AShr(a, b)
+            | Op::Eq(a, b)
+            | Op::Ult(a, b)
+            | Op::Slt(a, b)
+            | Op::Concat(a, b) => ([a, b, t], 2),
+            Op::Ite(c, a, b) => ([c, a, b], 3),
+        };
+        ops.into_iter().take(n)
+    }
+
+    /// Evaluates the single node `t` from its operands' values `x`, given
+    /// in [`TermPool::operands`] order (unused slots are ignored); a
+    /// variable node reads its value from `var`. This is the one copy of
+    /// the operator semantics every evaluator shares.
+    #[inline]
+    pub fn eval_node(&self, t: TermId, x: [u64; 3], var: impl FnOnce(VarId) -> u64) -> u64 {
+        let node = self.nodes[t.index()];
+        let w = node.width;
+        match node.op {
+            Op::Var(v) => mask(w, var(v)),
+            Op::Const(c) => c,
+            Op::Not(_) => mask(w, !x[0]),
+            Op::Neg(_) => mask(w, x[0].wrapping_neg()),
+            Op::And(..) => x[0] & x[1],
+            Op::Or(..) => x[0] | x[1],
+            Op::Xor(..) => x[0] ^ x[1],
+            Op::Add(..) => mask(w, x[0].wrapping_add(x[1])),
+            Op::Sub(..) => mask(w, x[0].wrapping_sub(x[1])),
+            Op::Mul(..) => mask(w, x[0].wrapping_mul(x[1])),
+            Op::UDiv(..) => x[0].checked_div(x[1]).unwrap_or(mask(w, u64::MAX)),
+            Op::URem(..) => x[0].checked_rem(x[1]).unwrap_or(x[0]),
+            Op::Shl(..) => {
+                if x[1] >= w as u64 {
+                    0
+                } else {
+                    mask(w, x[0] << x[1])
+                }
+            }
+            Op::LShr(..) => {
+                if x[1] >= w as u64 {
+                    0
+                } else {
+                    x[0] >> x[1]
+                }
+            }
+            Op::AShr(a, _) => {
+                let aw = self.width(a);
+                let sx = sext64(aw, x[0]);
+                if x[1] >= aw as u64 {
+                    mask(w, (sx >> 63) as u64)
+                } else {
+                    mask(w, (sx >> x[1]) as u64)
+                }
+            }
+            Op::Eq(..) => (x[0] == x[1]) as u64,
+            Op::Ult(..) => (x[0] < x[1]) as u64,
+            Op::Slt(a, _) => {
+                let aw = self.width(a);
+                (sext64(aw, x[0]) < sext64(aw, x[1])) as u64
+            }
+            Op::Ite(..) => {
+                if x[0] != 0 {
+                    x[1]
+                } else {
+                    x[2]
+                }
+            }
+            Op::Extract(_, hi, lo) => mask(hi - lo + 1, x[0] >> lo),
+            Op::Concat(_, b) => (x[0] << self.width(b)) | x[1],
+            Op::ZExt(_) => x[0],
+            Op::SExt(a) => mask(w, sext64(self.width(a), x[0]) as u64),
+        }
     }
 
     /// Rebuilds `t` with every variable in `map` replaced by the mapped term.
@@ -860,35 +848,7 @@ impl TermPool {
             let node = self.nodes[id.index()];
             if !ready {
                 stack.push((id, true));
-                match node.op {
-                    Op::Var(_) | Op::Const(_) => {}
-                    Op::Not(a) | Op::Neg(a) | Op::Extract(a, _, _) | Op::ZExt(a) | Op::SExt(a) => {
-                        stack.push((a, false));
-                    }
-                    Op::And(a, b)
-                    | Op::Or(a, b)
-                    | Op::Xor(a, b)
-                    | Op::Add(a, b)
-                    | Op::Sub(a, b)
-                    | Op::Mul(a, b)
-                    | Op::UDiv(a, b)
-                    | Op::URem(a, b)
-                    | Op::Shl(a, b)
-                    | Op::LShr(a, b)
-                    | Op::AShr(a, b)
-                    | Op::Eq(a, b)
-                    | Op::Ult(a, b)
-                    | Op::Slt(a, b)
-                    | Op::Concat(a, b) => {
-                        stack.push((a, false));
-                        stack.push((b, false));
-                    }
-                    Op::Ite(c, a, b) => {
-                        stack.push((c, false));
-                        stack.push((a, false));
-                        stack.push((b, false));
-                    }
-                }
+                stack.extend(self.operands(id).map(|a| (a, false)));
                 continue;
             }
             let g = |x: TermId, cache: &HashMap<TermId, TermId>| -> TermId { cache[&x] };
@@ -1007,33 +967,7 @@ impl TermPool {
             }
             match self.nodes[id.index()].op {
                 Op::Var(v) => vars.push(v),
-                Op::Const(_) => {}
-                Op::Not(a) | Op::Neg(a) | Op::Extract(a, _, _) | Op::ZExt(a) | Op::SExt(a) => {
-                    stack.push(a)
-                }
-                Op::And(a, b)
-                | Op::Or(a, b)
-                | Op::Xor(a, b)
-                | Op::Add(a, b)
-                | Op::Sub(a, b)
-                | Op::Mul(a, b)
-                | Op::UDiv(a, b)
-                | Op::URem(a, b)
-                | Op::Shl(a, b)
-                | Op::LShr(a, b)
-                | Op::AShr(a, b)
-                | Op::Eq(a, b)
-                | Op::Ult(a, b)
-                | Op::Slt(a, b)
-                | Op::Concat(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Op::Ite(c, a, b) => {
-                    stack.push(c);
-                    stack.push(a);
-                    stack.push(b);
-                }
+                _ => stack.extend(self.operands(id)),
             }
         }
         vars.sort_unstable();

@@ -139,6 +139,11 @@ pub struct Executor {
     named_vars: HashMap<String, TermId>,
     /// Registered path summaries keyed by call-site name (§3.3.2).
     summaries: HashMap<&'static str, Summary>,
+    /// Outputs of each summary application, keyed by (call-site name,
+    /// argument terms). Hash-consing makes a repeated application return
+    /// the same terms and intern nothing new, so replaying the cached
+    /// outputs on later paths is exact.
+    summary_outputs: HashMap<(&'static str, Vec<TermId>), Vec<TermId>>,
     /// Cache of `pick` results keyed by (tree position, term) so replays of
     /// the same path prefix concretize identically even as the solver's
     /// learned clauses change its models.
@@ -267,6 +272,7 @@ impl Executor {
             stats: ExploreStats::default(),
             named_vars: HashMap::new(),
             summaries: HashMap::new(),
+            summary_outputs: HashMap::new(),
             pick_cache: HashMap::new(),
             cur: NodeId::ROOT,
             path: Vec::new(),
@@ -307,6 +313,7 @@ impl Executor {
     /// generic program retrieves it through [`Dom::summary_hook`].
     pub fn register_summary(&mut self, key: &'static str, summary: Summary) {
         self.summaries.insert(key, summary);
+        self.summary_outputs.clear();
     }
 
     /// Creates (or retrieves) the stable named input variable `name`.
@@ -688,9 +695,10 @@ impl Dom for Executor {
         self.branches_this_path += 1;
         let node = self.cur;
         let ncond = self.pool.not(cond);
-        // Resolve unknown feasibilities lazily; checking one direction can
-        // sometimes be skipped if the other is infeasible (the path condition
-        // itself is satisfiable, so at least one direction must be feasible).
+        // Resolve unknown feasibilities lazily. A direction is checked even
+        // when the other one is infeasible, which proves it feasible (the
+        // path condition itself is satisfiable): skipping that query would
+        // change the solver's learned state, and with it every later model.
         for dir in [false, true] {
             if self.tree.feasibility(node, dir) == Feasibility::Unknown
                 && !self.tree.dir_done(node, dir)
@@ -755,7 +763,7 @@ impl Dom for Executor {
         out
     }
 
-    fn pick(&mut self, v: TermId, site: &'static str) -> u64 {
+    fn pick(&mut self, v: TermId, _site: &'static str) -> u64 {
         if let Some(c) = self.pool.as_const(v) {
             return c;
         }
@@ -793,7 +801,6 @@ impl Dom for Executor {
         let eq = self.pool.eq(v, c);
         self.path.push(eq);
         self.pick_cache.insert((self.cur, v), val);
-        let _ = site;
         val
     }
 
@@ -806,10 +813,15 @@ impl Dom for Executor {
     }
 
     fn summary_hook(&mut self, key: &'static str, args: &[TermId]) -> Option<Vec<TermId>> {
-        let summary = self.summaries.get(key)?.clone();
+        let summary = self.summaries.get(key)?;
         self.metrics.summary_hits.inc();
         let _t = timed(self.metrics.summary_ns);
-        Some(summary.apply(&mut self.pool, args))
+        let pool = &mut self.pool;
+        let outputs = self
+            .summary_outputs
+            .entry((key, args.to_vec()))
+            .or_insert_with(|| summary.apply(pool, args));
+        Some(outputs.clone())
     }
 
     fn fresh_input(&mut self, w: Width, name: &str) -> TermId {

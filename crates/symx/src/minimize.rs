@@ -9,11 +9,16 @@
 //! baseline value; keep the reset whenever the path condition still holds.
 //!
 //! Because the assignment is total, "still holds" needs only *evaluation* of
-//! the path condition, never another solver call — the same algorithm the
-//! paper describes ("our current approach based on evaluation was simple to
-//! implement", §3.4) at the same cost.
+//! the path condition, never another solver call — the algorithm the paper
+//! describes ("our current approach based on evaluation was simple to
+//! implement", §3.4). The evaluation is incremental: the path condition is
+//! flattened once into topological order with every node's value, and a
+//! candidate value for one variable re-evaluates only that variable's
+//! fan-out cone and checks only the conjuncts inside it. That is exact
+//! because the working assignment satisfies every conjunct between steps
+//! and a conjunct outside the cone cannot change.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pokemu_solver::{mask, Model, TermId, TermPool, VarId};
 
@@ -24,8 +29,12 @@ pub struct MinimizeStats {
     pub bits_before: usize,
     /// Bits differing from the baseline after minimization.
     pub bits_after: usize,
-    /// Path-condition evaluations performed.
+    /// Candidate restores checked against the path condition.
     pub evaluations: usize,
+    /// The start model violated the path condition, so nothing was
+    /// restored and the model came back unchanged. `false` (valid) by
+    /// default.
+    pub invalid_model: bool,
 }
 
 /// Greedily minimizes `model` against `baseline`, preserving satisfaction of
@@ -37,7 +46,9 @@ pub struct MinimizeStats {
 /// motivation of §3.4.
 ///
 /// Returns the minimized model (a total assignment over the union of model
-/// and baseline variables) plus statistics.
+/// and baseline variables) plus statistics. A model that violates the path
+/// condition comes back unminimized with [`MinimizeStats::invalid_model`]
+/// set.
 pub fn minimize(
     pool: &TermPool,
     path_condition: &[TermId],
@@ -45,86 +56,208 @@ pub fn minimize(
     baseline: &HashMap<VarId, u64>,
 ) -> (Model, MinimizeStats) {
     let mut stats = MinimizeStats::default();
-    let base = |v: VarId| baseline.get(&v).copied().unwrap_or(0);
-
-    // Total working assignment: baseline overlaid with the solver model.
-    let mut env: HashMap<VarId, u64> = HashMap::new();
-    for i in 0..pool.num_vars() {
-        let v = VarId(i as u32);
-        let w = pool.var_width(v);
-        env.insert(v, mask(w, model.value(v).unwrap_or_else(|| base(v))));
-    }
-
-    let satisfied = |env: &HashMap<VarId, u64>, stats: &mut MinimizeStats| -> bool {
-        stats.evaluations += 1;
-        let mut cache = HashMap::new();
-        path_condition
-            .iter()
-            .all(|&t| pool.eval_cached(t, env, &mut cache) == 1)
+    let vars = (0..pool.num_vars() as u32).map(VarId);
+    let base: Vec<u64> = vars
+        .clone()
+        .map(|v| mask(pool.var_width(v), baseline.get(&v).copied().unwrap_or(0)))
+        .collect();
+    // Total working assignment, indexed by variable id: baseline overlaid
+    // with the solver model.
+    let mut env: Vec<u64> = vars
+        .clone()
+        .map(|v| {
+            mask(
+                pool.var_width(v),
+                model.value(v).unwrap_or(base[v.0 as usize]),
+            )
+        })
+        .collect();
+    let diff_bits = |env: &[u64]| -> usize {
+        env.iter()
+            .zip(&base)
+            .map(|(x, b)| (x ^ b).count_ones() as usize)
+            .sum()
     };
-    debug_assert!(
-        satisfied(&env.clone(), &mut stats),
-        "model must satisfy the path condition"
-    );
+    stats.bits_before = diff_bits(&env);
 
-    // Deterministic iteration order: by variable id, then bit index.
-    let mut vars: Vec<VarId> = env.keys().copied().collect();
-    vars.sort_unstable();
-
-    // Record the initial difference size once.
-    for &v in &vars {
-        let w = pool.var_width(v);
-        stats.bits_before += ((env[&v] ^ mask(w, base(v))).count_ones()) as usize;
-    }
+    let mut flat = Flat::new(pool, path_condition, &env);
+    stats.invalid_model = !flat.holds();
 
     // Greedy passes to a fixpoint (bounded): constraints couple variables
     // (e.g. a selector RPL and a descriptor DPL must move together), so a
     // single pass can get stuck where several passes converge. The paper
     // notes the same ("potentially making multiple passes could further
-    // reduce the size of the difference", §3.4).
-    for _pass in 0..4 {
+    // reduce the size of the difference", §3.4). Deterministic order: by
+    // variable id, then bit index. An invalid start model breaks the
+    // invariant the cone evaluation relies on, so it gets no pass at all.
+    let passes = if stats.invalid_model { 0 } else { 4 };
+    for _pass in 0..passes {
         let mut changed = false;
-        for &v in &vars {
-            let w = pool.var_width(v);
-            let bval = mask(w, base(v));
-            let cur = env[&v];
-            if cur == bval {
+        for v in vars.clone() {
+            let (w, bval) = (pool.var_width(v), base[v.0 as usize]);
+            if env[v.0 as usize] == bval {
                 continue;
             }
+            let cone = flat.cone(v);
             // Whole-variable restore first (cheap and common)...
-            env.insert(v, bval);
-            if satisfied(&env, &mut stats) {
+            stats.evaluations += 1;
+            if flat.try_set(pool, &mut env, v, bval, &cone) {
                 changed = true;
                 continue;
             }
-            env.insert(v, cur);
             // ...then bit-by-bit.
             for bit in 0..w {
                 let m = 1u64 << bit;
-                let cur = env[&v];
+                let cur = env[v.0 as usize];
                 if cur & m == bval & m {
                     continue;
                 }
-                let flipped = (cur & !m) | (bval & m);
-                env.insert(v, flipped);
-                if !satisfied(&env, &mut stats) {
-                    env.insert(v, cur); // revert
-                } else {
-                    changed = true;
-                }
+                stats.evaluations += 1;
+                changed |= flat.try_set(pool, &mut env, v, (cur & !m) | (bval & m), &cone);
             }
         }
         if !changed {
             break;
         }
     }
-    for &v in &vars {
-        let w = pool.var_width(v);
-        stats.bits_after += ((env[&v] ^ mask(w, base(v))).count_ones()) as usize;
+    stats.bits_after = diff_bits(&env);
+    let minimized = Model::from_pairs(vars.zip(env));
+    (minimized, stats)
+}
+
+/// A path condition flattened into topological order — ascending term id,
+/// see [`TermPool::operands`] — with every node's value under the working
+/// assignment.
+struct Flat {
+    nodes: Vec<FlatNode>,
+    vals: Vec<u64>,
+    /// Position of each variable's node, if the path condition mentions it.
+    var_at: Vec<Option<usize>>,
+    /// Scratch: the cone values a rejected candidate must restore.
+    saved: Vec<u64>,
+}
+
+struct FlatNode {
+    term: TermId,
+    /// Positions of the operands; slots past `arity` are unused.
+    args: [u32; 3],
+    arity: u8,
+    conjunct: bool,
+}
+
+impl Flat {
+    fn new(pool: &TermPool, path_condition: &[TermId], env: &[u64]) -> Flat {
+        let mut seen = HashSet::new();
+        let mut terms = Vec::new();
+        let mut stack = path_condition.to_vec();
+        while let Some(t) = stack.pop() {
+            if seen.insert(t) {
+                terms.push(t);
+                stack.extend(pool.operands(t));
+            }
+        }
+        terms.sort_unstable();
+        let at: HashMap<TermId, u32> = terms
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i as u32))
+            .collect();
+        let mut flat = Flat {
+            nodes: Vec::with_capacity(terms.len()),
+            vals: Vec::with_capacity(terms.len()),
+            var_at: vec![None; env.len()],
+            saved: Vec::new(),
+        };
+        for (i, &term) in terms.iter().enumerate() {
+            let mut args = [0; 3];
+            let mut arity = 0;
+            for (slot, a) in args.iter_mut().zip(pool.operands(term)) {
+                *slot = at[&a];
+                arity += 1;
+            }
+            if let pokemu_solver::Op::Var(v) = pool.op(term) {
+                flat.var_at[v.0 as usize] = Some(i);
+            }
+            flat.nodes.push(FlatNode {
+                term,
+                args,
+                arity,
+                conjunct: false,
+            });
+            let v = flat.eval(pool, i, env);
+            flat.vals.push(v);
+        }
+        for t in path_condition {
+            flat.nodes[at[t] as usize].conjunct = true;
+        }
+        flat
     }
 
-    let minimized = Model::from_pairs(env);
-    (minimized, stats)
+    fn eval(&self, pool: &TermPool, i: usize, env: &[u64]) -> u64 {
+        let n = &self.nodes[i];
+        let mut x = [0; 3];
+        for (x, &a) in x.iter_mut().zip(&n.args[..n.arity as usize]) {
+            *x = self.vals[a as usize];
+        }
+        pool.eval_node(n.term, x, |v| env[v.0 as usize])
+    }
+
+    /// Whether every conjunct holds.
+    fn holds(&self) -> bool {
+        self.nodes
+            .iter()
+            .zip(&self.vals)
+            .all(|(n, &v)| !n.conjunct || v == 1)
+    }
+
+    /// The fan-out cone of `v`: its own node and every node depending on
+    /// it, in topological order. Empty when the path condition does not
+    /// mention `v`.
+    fn cone(&self, v: VarId) -> Vec<usize> {
+        let Some(root) = self.var_at[v.0 as usize] else {
+            return Vec::new();
+        };
+        let mut inside = vec![false; self.nodes.len()];
+        inside[root] = true;
+        let mut cone = vec![root];
+        for (i, n) in self.nodes.iter().enumerate().skip(root + 1) {
+            if n.args[..n.arity as usize]
+                .iter()
+                .any(|&a| inside[a as usize])
+            {
+                inside[i] = true;
+                cone.push(i);
+            }
+        }
+        cone
+    }
+
+    /// Sets `v` to `val` and re-evaluates its `cone`. Keeps the change if
+    /// every conjunct in the cone still holds; otherwise restores the old
+    /// values and returns `false`.
+    fn try_set(
+        &mut self,
+        pool: &TermPool,
+        env: &mut [u64],
+        v: VarId,
+        val: u64,
+        cone: &[usize],
+    ) -> bool {
+        let old = std::mem::replace(&mut env[v.0 as usize], val);
+        self.saved.clear();
+        for &i in cone {
+            self.saved.push(self.vals[i]);
+            self.vals[i] = self.eval(pool, i, env);
+            if self.nodes[i].conjunct && self.vals[i] != 1 {
+                for (&j, &s) in cone.iter().zip(&self.saved) {
+                    self.vals[j] = s;
+                }
+                env[v.0 as usize] = old;
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// The locations where `model` still differs from `baseline`, as
@@ -202,6 +335,22 @@ mod tests {
                 assert_eq!(exec.pool().eval_cached(t, &env, &mut cache), 1);
             }
         }
+    }
+
+    #[test]
+    fn invalid_model_comes_back_unchanged_and_flagged() {
+        let mut pool = pokemu_solver::TermPool::new();
+        let x = pool.var(8, "x");
+        let y = pool.var(8, "y");
+        let five = pool.constant(8, 5);
+        let pc = [pool.eq(x, five), pool.ult(y, five)];
+        // x = 7 violates `x == 5`; y = 3 alone could return to baseline.
+        let model = Model::from_pairs([(VarId(0), 7u64), (VarId(1), 3u64)]);
+        let (min, stats) = minimize(&pool, &pc, &model, &HashMap::new());
+        assert_eq!(min, model, "nothing may be restored");
+        assert!(stats.invalid_model);
+        assert_eq!((stats.bits_before, stats.bits_after), (5, 5));
+        assert_eq!(stats.evaluations, 0);
     }
 
     #[test]

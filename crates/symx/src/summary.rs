@@ -174,6 +174,36 @@ mod tests {
     }
 
     #[test]
+    fn memoized_hook_matches_direct_application() {
+        let mut exec = Executor::new();
+        let summary = exec.summarize(&[(8, "x")], |e, formals| vec![quirky_inc(e, formals[0])]);
+        let mut direct = |name: &str| {
+            let x = exec.named_input(8, name);
+            summary.apply(exec.pool_mut(), &[x])
+        };
+        let (direct_x, direct_y) = (direct("x"), direct("y"));
+        exec.register_summary("quirky_inc", summary);
+        let interned = exec.pool().len();
+        let r = exec.explore(|e| {
+            let (x, y) = (e.fresh_input(8, "x"), e.fresh_input(8, "y"));
+            let mut hook = |arg| e.summary_hook("quirky_inc", &[arg]).expect("registered");
+            [hook(x), hook(y), hook(x)]
+        });
+        assert_eq!(r.paths[0].value, [direct_x.clone(), direct_y, direct_x]);
+        assert_eq!(exec.pool().len(), interned, "nothing new interned");
+
+        // Re-registering the key drops the cached outputs.
+        let identity = exec.summarize(&[(8, "x")], |_, formals| vec![formals[0]]);
+        exec.register_summary("quirky_inc", identity);
+        let r = exec.explore(|e| {
+            let x = e.fresh_input(8, "x");
+            (x, e.summary_hook("quirky_inc", &[x]).expect("registered"))
+        });
+        let (x, out) = &r.paths[0].value;
+        assert_eq!(out, &vec![*x]);
+    }
+
+    #[test]
     fn conjoin_of_empty_is_true() {
         let mut pool = TermPool::new();
         let t = conjoin(&mut pool, &[]);

@@ -35,6 +35,22 @@ test -s target/prof/cross_validation.folded \
 echo "== perf attribution gate"
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- perf --check --top 5
 
+echo "== attribution below the top level (explore.state_space self time)"
+# Per-path exploration work sits in named frames (explore.mem_template,
+# explore.symbolic_machine, explore.clobbers, explore.minimize, symx.*,
+# solver.check). Fail if explore.state_space's own time is more than 15% of
+# the time of all the stacks that contain it, i.e. if exploration work has
+# gone unattributed again.
+awk -v frame=explore.state_space -v limit=15 '
+    { n = split($1, f, ";")
+      for (i = 1; i <= n; i++) if (f[i] == frame) { total += $2; if (i == n) self += $2; break } }
+    END {
+      if (total == 0) { print "ERROR: no " frame " frame in the profile" > "/dev/stderr"; exit 1 }
+      pct = 100 * self / total
+      printf "%s self time: %d of %d us (%.1f%%, limit %d%%)\n", frame, self, total, pct, limit
+      if (pct > limit) { print "ERROR: " frame " self time above the limit" > "/dev/stderr"; exit 1 }
+    }' target/prof/cross_validation.folded
+
 echo "== coverage gate (run manifest vs committed baseline)"
 # The smoke run above emitted a manifest with the run's coverage bitmaps
 # and root-cause clusters; the gate fails if any coverage bit present in
