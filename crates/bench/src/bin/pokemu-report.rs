@@ -462,31 +462,18 @@ impl Report {
                      SLOWER than the hi-fi interpreter here)"
                 );
             } else {
-                println!(
-                    "  hifi/lofi ratio {r:.3}  (lofi ≥ {r:.1}x hifi — chained execution \
-                     layer healthy, no e3 inversion)"
-                );
+                println!("  hifi/lofi ratio {r:.3}  (lofi {r:.1}x hifi, no e3 inversion)");
             }
         }
 
-        // Dispatch-strategy health: how often execution stayed on the
-        // chained fast path vs falling back to a lookup or a translation.
-        let chain_hits = self.counter("lofi.chain.hits");
-        let lookups = self.counter("lofi.tb_lookup.hits") + self.counter("lofi.tb_lookup.misses");
-        let dispatches = chain_hits + lookups;
+        // TB-cache health: how many block dispatches had to translate.
+        let misses = self.counter("lofi.tb_lookup.misses");
+        let dispatches = self.counter("lofi.tb_lookup.hits") + misses;
         if dispatches > 0 {
             println!(
-                "  chain-hit rate {:5.1}%  ({chain_hits} of {dispatches} dispatches entered \
-                 via a followed chain link)",
-                pct(chain_hits as f64, dispatches as f64)
-            );
-        }
-        let lc_hits = self.counter("lofi.chain.lookup_cache.hits");
-        let lc_total = lc_hits + self.counter("lofi.chain.lookup_cache.misses");
-        if lc_total > 0 {
-            println!(
-                "  lookup-cache hit rate {:5.1}%  ({lc_hits} of {lc_total} inline probes)",
-                pct(lc_hits as f64, lc_total as f64)
+                "  translations per dispatch {:.4}  ({misses} of {dispatches} lo-fi block \
+                 dispatches translated)",
+                misses as f64 / dispatches as f64
             );
         }
 

@@ -513,7 +513,7 @@ mod tests {
         let mem = m.mem.unwrap();
         assert_eq!(mem.base, Some(Gpr::Ebx));
         assert_eq!(mem.seg, Seg::Ds);
-        let mut d = Concrete::new();
+        let d = Concrete::new();
         assert_eq!(d.as_const(mem.disp), Some(0x10));
         assert_eq!(i.len, 3);
     }
@@ -523,7 +523,7 @@ mod tests {
         // add [ebx-1], ecx
         let i = decode_bytes(&[0x01, 0x4b, 0xff]).unwrap();
         let mem = i.modrm.unwrap().mem.unwrap();
-        let mut d = Concrete::new();
+        let d = Concrete::new();
         assert_eq!(d.as_const(mem.disp), Some(0xffff_ffff));
     }
 
@@ -543,7 +543,7 @@ mod tests {
         let i = decode_bytes(&[0x8b, 0x05, 0x78, 0x56, 0x34, 0x12]).unwrap();
         let mem = i.modrm.unwrap().mem.unwrap();
         assert_eq!(mem.base, None);
-        let mut d = Concrete::new();
+        let d = Concrete::new();
         assert_eq!(d.as_const(mem.disp), Some(0x1234_5678));
         assert_eq!(i.len, 6);
     }
@@ -554,7 +554,7 @@ mod tests {
         let i = decode_bytes(&[0x0f, 0xba, 0x28, 0x03]).unwrap();
         assert_eq!(i.class.opcode, 0x0fba);
         assert_eq!(i.class.group_reg, Some(5));
-        let mut d = Concrete::new();
+        let d = Concrete::new();
         assert_eq!(d.as_const(i.imm.unwrap()), Some(3));
     }
 
@@ -594,7 +594,7 @@ mod tests {
     fn far_pointer_immediates() {
         // jmp 0x0008:0x00001000
         let i = decode_bytes(&[0xea, 0x00, 0x10, 0x00, 0x00, 0x08, 0x00]).unwrap();
-        let mut d = Concrete::new();
+        let d = Concrete::new();
         assert_eq!(d.as_const(i.imm.unwrap()), Some(0x1000));
         assert_eq!(d.as_const(i.imm2.unwrap()), Some(8));
         assert_eq!(i.len, 7);
@@ -604,7 +604,7 @@ mod tests {
     fn opsize_prefix_switches_to_16bit() {
         let i = decode_bytes(&[0x66, 0xb8, 0x34, 0x12]).unwrap();
         assert_eq!(i.opsize(), 2);
-        let mut d = Concrete::new();
+        let d = Concrete::new();
         assert_eq!(d.as_const(i.imm.unwrap()), Some(0x1234));
         assert_eq!(i.len, 4);
     }

@@ -68,32 +68,18 @@ impl Core {
 }
 
 /// Why block execution stopped.
-///
-/// The three `Continue`-shaped variants are distinguished by *how* the
-/// successor EIP was produced, because that is what decides whether the
-/// dispatch layer may chain the edge (DESIGN.md §11): a successor that is
-/// a translation-time constant always leads to the same block, so a
-/// per-TB successor slot can cache the link; a computed successor can
-/// change between executions and must go through the full lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TbExit {
-    /// Continue at this EIP, which was computed at run time (indirect
-    /// jump, return, helper-driven transfer). Never chained.
+    /// Continue at this EIP: a branch target, the fall-through address, or
+    /// a helper-driven transfer.
     Next(u32),
-    /// A direct branch was taken: the target is a translation-time
-    /// constant (chainable via the block's *taken* slot).
-    Taken(u32),
-    /// A direct branch fell through, or the block ran off its end: the
-    /// successor is the translation-time block end (chainable via the
-    /// block's *not-taken* slot).
-    Fallthrough(u32),
     /// The CPU halted.
     Halt,
     /// An exception was raised (EIP points at the faulting instruction).
     Fault(Exception),
 }
 
-pub(crate) fn mask(size: u8) -> u32 {
+fn mask(size: u8) -> u32 {
     if size == 4 {
         u32::MAX
     } else {
@@ -101,7 +87,7 @@ pub(crate) fn mask(size: u8) -> u32 {
     }
 }
 
-pub(crate) fn read_reg(m: &LofiMachine, reg: u8, size: u8) -> u32 {
+fn read_reg(m: &LofiMachine, reg: u8, size: u8) -> u32 {
     match size {
         4 => m.gpr[reg as usize],
         2 => m.gpr[reg as usize] & 0xffff,
@@ -116,7 +102,7 @@ pub(crate) fn read_reg(m: &LofiMachine, reg: u8, size: u8) -> u32 {
     }
 }
 
-pub(crate) fn write_reg(m: &mut LofiMachine, reg: u8, size: u8, val: u32) {
+fn write_reg(m: &mut LofiMachine, reg: u8, size: u8, val: u32) {
     match size {
         4 => m.gpr[reg as usize] = val,
         2 => {
@@ -137,9 +123,7 @@ pub(crate) fn write_reg(m: &mut LofiMachine, reg: u8, size: u8, val: u32) {
 }
 
 /// Evaluates a masked ALU operation exactly as `Uop::Alu` commits it.
-/// Shared between the µop interpreter and the IR-skip fast path so the
-/// two execution strategies cannot drift.
-pub(crate) fn alu_eval(op: AluKind, size: u8, a: u32, b: u32) -> u32 {
+fn alu_eval(op: AluKind, size: u8, a: u32, b: u32) -> u32 {
     let (x, y) = (a & mask(size), b & mask(size));
     let w = size * 8;
     let v = match op {
@@ -178,8 +162,7 @@ pub(crate) fn alu_eval(op: AluKind, size: u8, a: u32, b: u32) -> u32 {
 }
 
 /// Commits a lazy condition-code update exactly as `Uop::SetCc` does.
-/// Shared between the µop interpreter and the IR-skip fast path.
-pub(crate) fn set_cc(m: &mut LofiMachine, cc: CcKind, size: u8, dst: u32, src1: u32, src2: u32) {
+fn set_cc(m: &mut LofiMachine, cc: CcKind, size: u8, dst: u32, src1: u32, src2: u32) {
     let op = match cc {
         CcKind::Logic => CcOp::Logic,
         CcKind::Add => CcOp::Add,
@@ -210,7 +193,7 @@ pub(crate) fn set_cc(m: &mut LofiMachine, cc: CcKind, size: u8, dst: u32, src1: 
 /// only the flags the condition consumes (the status bits live entirely
 /// in `m.cc`, so this agrees with `cond_eval(m.eflags(), cc)` while
 /// skipping the full six-flag materialization on the hot branch path).
-pub(crate) fn cond_eval_lazy(m: &LofiMachine, cc: u8) -> bool {
+fn cond_eval_lazy(m: &LofiMachine, cc: u8) -> bool {
     let c = &m.cc;
     let base = match cc >> 1 {
         0 => c.of() != 0,
@@ -372,18 +355,18 @@ pub fn exec_tb(core: &mut Core, tb: &Tb) -> TbExit {
                 };
             }
             Uop::SetEip { target } => return TbExit::Next(t[target as usize]),
-            Uop::SetEipImm { target } => return TbExit::Taken(target),
+            Uop::SetEipImm { target } => return TbExit::Next(target),
             Uop::BrCc { cc, target } => {
                 if cond_eval_lazy(&core.m, cc) {
-                    return TbExit::Taken(target);
+                    return TbExit::Next(target);
                 }
-                return TbExit::Fallthrough(core.m.eip);
+                return TbExit::Next(core.m.eip);
             }
             Uop::BrCondT { cond, target } => {
                 if t[cond as usize] != 0 {
-                    return TbExit::Taken(target);
+                    return TbExit::Next(target);
                 }
-                return TbExit::Fallthrough(core.m.eip);
+                return TbExit::Next(core.m.eip);
             }
             Uop::SetCarry { mode } => {
                 let f = core.m.eflags();
@@ -427,7 +410,7 @@ pub fn exec_tb(core: &mut Core, tb: &Tb) -> TbExit {
             },
         }
     }
-    TbExit::Fallthrough(core.m.eip)
+    TbExit::Next(core.m.eip)
 }
 
 enum HelperExit {

@@ -439,9 +439,10 @@ mod tests {
         assert_eq!(m.phys_read(10 + PHYS_MEM_SIZE, 4), 0xdeadbeef);
     }
 
-    /// The single-flag accessors are the IR-skip hot path; they must agree
-    /// bit-for-bit with full materialization for every op/size/operand
-    /// combination or the lazy and materialized paths drift.
+    /// `exec_tb` reads flags through the single-flag accessors (`GetCf`,
+    /// `TestCc` and conditional branches); they must agree bit-for-bit with
+    /// full materialization for every op/size/operand combination or the
+    /// lazy and materialized paths drift.
     #[test]
     fn single_flag_accessors_match_materialize() {
         let ops = [

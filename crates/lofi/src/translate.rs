@@ -31,45 +31,6 @@ pub struct Tb {
     pub insns: u32,
 }
 
-impl Tb {
-    /// Whether control always continues at `self.end` after this block:
-    /// the final µop is not a control transfer, halt, or exception, so the
-    /// block "runs off its end". These are the blocks the superblock
-    /// former may stitch as *non-final* members (DESIGN.md §11) — the
-    /// concatenated µop stream then needs no terminator surgery at all.
-    ///
-    /// `Into` is allowed (it falls through when OF is clear and its
-    /// possible fault is handled by the normal `InsnStart` rollback);
-    /// helpers are conservatively treated as block-enders because some of
-    /// them transfer control.
-    pub fn falls_through(&self) -> bool {
-        !matches!(
-            self.uops.last(),
-            None | Some(
-                Uop::SetEip { .. }
-                    | Uop::SetEipImm { .. }
-                    | Uop::BrCc { .. }
-                    | Uop::BrCondT { .. }
-                    | Uop::Halt
-                    | Uop::Raise { .. }
-                    | Uop::Int { .. }
-                    | Uop::Helper(_)
-            )
-        )
-    }
-
-    /// Whether any µop in this block may write guest memory (stores, or
-    /// helpers — which are conservatively assumed to store). A block that
-    /// may write memory can rewrite the bytes of a block scheduled *after*
-    /// it inside a superblock, so the former never stitches anything
-    /// behind such a block.
-    pub fn may_write_memory(&self) -> bool {
-        self.uops
-            .iter()
-            .any(|u| matches!(u, Uop::St { .. } | Uop::Helper(_)))
-    }
-}
-
 struct Emit {
     uops: Vec<Uop>,
     next_t: u16,

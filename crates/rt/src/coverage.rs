@@ -95,23 +95,6 @@ impl CoverageMap {
         self.0.words[i / 64].fetch_or(1u64 << (i % 64), Ordering::Relaxed);
     }
 
-    /// ORs a whole 64-bit word of bits at `word` (wrapping modulo the word
-    /// count) in one operation. Equivalent to calling [`set`](Self::set)
-    /// for every set bit in `mask`; hot replay paths use it to commit a
-    /// block's precomputed bit pattern without per-bit RMWs. Skips the
-    /// atomic entirely when every bit is already set, so steady-state
-    /// replay costs one relaxed load.
-    #[inline]
-    pub fn or_word(&self, word: usize, mask: u64) {
-        if !enabled() {
-            return;
-        }
-        let w = &self.0.words[word % self.0.words.len()];
-        if w.load(Ordering::Relaxed) & mask != mask {
-            w.fetch_or(mask, Ordering::Relaxed);
-        }
-    }
-
     /// The map's size in bits.
     pub fn bits(&self) -> usize {
         self.0.bits

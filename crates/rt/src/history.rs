@@ -29,8 +29,8 @@
 //! fingerprint folds in the pipeline config (minus thread count — determinism
 //! is thread-invariant by contract), a process-wide *context* label (which
 //! binary / flow produced the record, see [`set_context`]), and the
-//! workload-shaping environment ([`TRACKED_ENV`]: fault injection, chain
-//! toggle, solver/run deadlines). Pure observer toggles (`POKEMU_COVERAGE`,
+//! workload-shaping environment ([`TRACKED_ENV`]: fault injection,
+//! solver/run deadlines). Pure observer toggles (`POKEMU_COVERAGE`,
 //! `POKEMU_PROF`, `POKEMU_TRACE`) are deliberately *not* fingerprinted: a
 //! run that silently lost its coverage is a regression the trend gate must
 //! catch, not a new group.
@@ -61,9 +61,8 @@ pub const DEFAULT_TREND_WINDOW: usize = 20;
 /// Environment variables that shape the workload and therefore partition
 /// trend groups. Observer toggles (coverage/prof/trace) are intentionally
 /// absent — see the module docs.
-pub const TRACKED_ENV: [&str; 6] = [
+pub const TRACKED_ENV: [&str; 5] = [
     "POKEMU_FAULT",
-    "POKEMU_LOFI_CHAIN",
     "POKEMU_SOLVER_DEADLINE_MS",
     "POKEMU_SOLVER_FUEL",
     "POKEMU_RUN_DEADLINE_MS",

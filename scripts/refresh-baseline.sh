@@ -9,10 +9,7 @@
 # deterministic for the fixed configs, so the files are machine- and
 # thread-count-independent; timings vary but are never compared — the bench
 # baselines gate counts exactly and timings only as wide self-normalizing
-# ratio bands (measured/8 .. measured*8). Floored ratios are the one
-# exception: exec_throughput's hifi_over_lofi band min is pinned at 2.0
-# in pokemu-bench (ratio_floor), so refreshing baselines can never relax
-# the lofi-at-least-2x-hifi requirement.
+# ratio bands (measured/8 .. measured*8).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -228,55 +228,6 @@ fn coverage_and_deviations_are_thread_count_invariant() {
     assert_eq!(cov1.to_jsonl(), cov8.to_jsonl());
 }
 
-/// The chained execution layer (block chaining + inline lookup cache +
-/// superblocks + IR-skip, DESIGN.md §11) is a pure execution-strategy
-/// change: with chaining forced off and on, the pipeline must produce
-/// byte-identical deviation lists, conformance renders (snapshots, path
-/// ids, code hashes), and all four coverage bitmaps, at 1, 2, and 8
-/// harness threads.
-#[test]
-fn chained_execution_layer_is_observably_invisible() {
-    use pokemu::harness::conformance::{build_corpus, program_json, run_conformance};
-
-    let _metrics = metrics_lock();
-    pokemu_rt::coverage::set_enabled(true);
-    let sweep = || {
-        let corpus = build_corpus();
-        [1, 2, 8].map(|threads| {
-            let cv = run_cross_validation(PipelineConfig {
-                first_byte: Some(0x80),
-                max_paths_per_insn: 64,
-                threads,
-                ..PipelineConfig::default()
-            });
-            let conf = run_conformance(&corpus, threads)
-                .results
-                .iter()
-                .map(program_json)
-                .collect::<Vec<_>>()
-                .join("\n");
-            (cv.deviations, conf, pokemu_rt::coverage::snapshot())
-        })
-    };
-    // Chain OFF first: coverage bits are sticky and cumulative across the
-    // process, so running the off sweep first means any extra bit the
-    // chained layer would set shows up as an off/on snapshot difference.
-    pokemu::lofi::set_chain_enabled(false);
-    let off = sweep();
-    pokemu::lofi::set_chain_enabled(true);
-    let on = sweep();
-    pokemu::lofi::clear_chain_override();
-
-    let (dev0, conf0, cov0) = &off[0];
-    assert!(!dev0.is_empty(), "0x80 must deviate on Lo-Fi");
-    for (i, (dev, conf, cov)) in off.iter().chain(on.iter()).enumerate() {
-        let label = ["off/1t", "off/2t", "off/8t", "on/1t", "on/2t", "on/8t"][i];
-        assert_eq!(dev0, dev, "deviation lists differ: off/1t vs {label}");
-        assert_eq!(conf0, conf, "conformance renders differ: off/1t vs {label}");
-        assert_eq!(cov0, cov, "coverage bitmaps differ: off/1t vs {label}");
-    }
-}
-
 /// The random baseline is a function of its seed.
 #[test]
 fn random_baseline_is_a_function_of_its_seed() {

@@ -70,9 +70,8 @@ fn small_config(threads: usize) -> PipelineConfig {
 fn det_fields_are_thread_count_invariant_and_round_trip() {
     let _serial = ledger_lock();
     pokemu_rt::coverage::set_enabled(true);
-    // Warm-up: saturate the sticky caches (coverage bits, lo-fi TB cache /
-    // superblock formation) so all three recorded runs see identical
-    // steady-state behavior.
+    // Warm-up: saturate the sticky caches (coverage bits) so all three
+    // recorded runs see identical steady-state behavior.
     let _ = record_run("warmup", small_config(2));
 
     let records: Vec<RunRecord> = [1usize, 2, 8]
