@@ -332,6 +332,11 @@ fn pipeline_smoke() -> WorkloadResult {
             ("total_paths", cv.total_paths as u64),
             ("fully_explored", cv.fully_explored as u64),
             ("solver_queries", delta.counter("solver.queries")),
+            // Lo-Fi work per run is the test's own: every run forks from
+            // the post-baseline template, so a run that re-executes the
+            // baseline shows here.
+            ("lofi_insns", delta.counter("lofi.insns")),
+            ("lofi_tb_misses", delta.counter("lofi.tb_lookup.misses")),
         ],
         ratios: vec![("solver_query_over_calib", query_ns / calib_ns)],
         info: vec![

@@ -403,9 +403,10 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     let run_deadline = config.run_deadline.map(|d| run_start + d);
     let results: Vec<OnceLock<ItemOutcome>> = (0..reps.len()).map(|_| OnceLock::new()).collect();
     let (pool_run, parallel_wall) = trace::timed("stage.parallel", || {
-        // The main thread's frame covers dispatch + wait; each worker's
-        // per-item frames start their own stacks on the worker threads and
-        // are merged when the pool flushes them at exit.
+        // The main thread's frame covers dispatch + wait; each spawned
+        // worker's per-item frames start their own stacks and are merged
+        // when the pool flushes them. A single worker is this thread, so
+        // its frames nest under this one.
         let _pf = prof::frame("stage.parallel");
         pool::for_each_budgeted(config.threads, reps.len(), run_deadline, |i| {
             let rep = &reps[i];

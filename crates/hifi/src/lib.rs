@@ -68,7 +68,7 @@ impl RunExit {
 /// let snap = emu.snapshot(exit);
 /// assert_eq!(snap.eip, 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HiFi {
     dom: Concrete,
     machine: Machine<CVal>,

@@ -68,7 +68,7 @@ pub struct MediationStats {
 
 /// The hardware-assisted virtual machine: guest state plus the monitoring
 /// layer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Vmm {
     dom: Concrete,
     guest: Machine<CVal>,

@@ -142,11 +142,21 @@ impl<V: Copy> Memory<V> {
         }
     }
 
-    /// Copies a concrete byte slice into memory (image loading).
+    /// Copies a concrete byte slice into memory (image loading), one page
+    /// lookup per page it touches.
     pub fn load_bytes<D: Dom<V = V>>(&mut self, d: &mut D, addr: u32, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            let v = d.constant(8, b as u64);
-            self.write_u8(addr.wrapping_add(i as u32), v);
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let a = self.wrap(addr);
+            let off = (a as usize) & (PAGE_SIZE - 1);
+            let n = rest.len().min(PAGE_SIZE - off);
+            let page = self.pages.entry(a >> PAGE_SHIFT).or_insert_with(Page::new);
+            for (slot, &b) in page.bytes[off..off + n].iter_mut().zip(&rest[..n]) {
+                *slot = Some(d.constant(8, b as u64));
+            }
+            addr = addr.wrapping_add(n as u32);
+            rest = &rest[n..];
         }
     }
 
@@ -233,6 +243,24 @@ mod tests {
         let k = e.constant(8, 1);
         m.write_u8(0x3000, k);
         assert_ne!(m, read);
+    }
+
+    #[test]
+    fn load_bytes_crosses_pages_and_wraps() {
+        let mut d = Concrete::new();
+        let mut m: Memory<_> = Memory::new();
+        let end = crate::state::PHYS_MEM_SIZE;
+        let bytes: Vec<u8> = (1..=8).collect();
+        m.load_bytes(&mut d, 0x1ffc, &bytes);
+        m.load_bytes(&mut d, end - 2, &[0xaa, 0xbb, 0xcc]);
+        let init: Vec<(u32, u64)> = m
+            .iter_initialized()
+            .map(|(a, v)| (a, d.as_const(v).unwrap()))
+            .collect();
+        let mut want: Vec<(u32, u64)> = (0..8).map(|i| (0x1ffc + i, i as u64 + 1)).collect();
+        want.insert(0, (0, 0xcc));
+        want.extend([(end - 2, 0xaa), (end - 1, 0xbb)]);
+        assert_eq!(init, want);
     }
 
     #[test]

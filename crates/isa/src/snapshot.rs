@@ -62,6 +62,14 @@ impl PagedMem {
         self.page(addr >> PAGE_SHIFT)[addr as usize % PAGE_SIZE]
     }
 
+    /// The stored pages as `(base address, 4-KiB page)`, in ascending
+    /// address order.
+    pub fn pages(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
+        self.pages
+            .iter()
+            .map(|(pno, page)| (pno << PAGE_SHIFT, &page[..]))
+    }
+
     /// The non-zero bytes as `(address, byte)`, in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u8)> + '_ {
         self.pages.iter().flat_map(|(pno, page)| {

@@ -42,7 +42,7 @@ use std::ops::RangeInclusive;
 use std::sync::{Mutex, OnceLock};
 
 use pokemu_isa::snapshot::{Outcome, PagedMem, SegSnapshot, Snapshot};
-use pokemu_isa::state::Exception;
+use pokemu_isa::state::{Exception, PHYS_MEM_SIZE};
 use pokemu_rt::metrics;
 
 pub use exec::{Core, TbExit};
@@ -88,10 +88,10 @@ pub struct LofiStats {
     pub insns: u64,
 }
 
-/// Pre-resolved metric handles for the dispatch loop, resolved once at
-/// construction (the hot-path idiom the solver and symx engine use). All
-/// of these are *counters* — pure functions of the executed programs — so
-/// they stay inside the deterministic-replay byte-identity contract.
+/// Metric handles for the dispatch-loop counts, resolved once at
+/// construction and added to when the instance drops. All of these are
+/// *counters* — pure functions of the executed programs — so they stay
+/// inside the deterministic-replay byte-identity contract.
 #[derive(Debug, Clone, Copy)]
 struct LofiMetrics {
     /// Dispatches served from the block cache.
@@ -131,6 +131,18 @@ impl LofiMetrics {
             run_step_limit: metrics::counter("lofi.run_exit.step_limit"),
         }
     }
+}
+
+/// The dispatch-loop counts [`LofiStats`] does not keep.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    tb_misses: u64,
+    exit_next: u64,
+    exit_halt: u64,
+    exit_fault: u64,
+    run_halted: u64,
+    run_exception: u64,
+    run_step_limit: u64,
 }
 
 thread_local! {
@@ -241,13 +253,34 @@ pub struct Lofi {
     /// Execution counts of invalidated blocks, by entry EIP.
     dead_execs: HashMap<u32, u64>,
     stats: LofiStats,
+    tally: Tally,
     metrics: LofiMetrics,
     /// Maximum guest instructions per translation block.
     pub max_tb_insns: u32,
 }
 
+/// An instance bills its counters and merges its per-TB execution counts
+/// once, here, so an instance that never drops (the harness's post-baseline
+/// templates) bills nothing.
 impl Drop for Lofi {
     fn drop(&mut self) {
+        let (m, s, t) = (&self.metrics, &self.stats, &self.tally);
+        for (c, n) in [
+            (m.tb_hits, s.cache_hits),
+            (m.tb_misses, t.tb_misses),
+            (m.invalidations, s.invalidations),
+            (m.insns, s.insns),
+            (m.exit_next, t.exit_next),
+            (m.exit_halt, t.exit_halt),
+            (m.exit_fault, t.exit_fault),
+            (m.run_halted, t.run_halted),
+            (m.run_exception, t.run_exception),
+            (m.run_step_limit, t.run_step_limit),
+        ] {
+            if n > 0 {
+                c.add(n);
+            }
+        }
         let merged = self.exec_counts();
         if merged.is_empty() {
             return;
@@ -276,8 +309,39 @@ impl Lofi {
             tbs_by_page: HashMap::new(),
             dead_execs: HashMap::new(),
             stats: LofiStats::default(),
+            tally: Tally::default(),
             metrics: LofiMetrics::new(),
             max_tb_insns: 8,
+        }
+    }
+
+    /// A copy of this emulator over fresh, zero-filled RAM: registers,
+    /// TLB and translated blocks carry over; execution counts, statistics
+    /// and counters start at zero. The harness forks every test run from a
+    /// post-baseline template this way and loads the template's memory
+    /// itself.
+    pub fn fork(&self) -> Lofi {
+        let live = |live: &LiveTb| LiveTb {
+            tb: live.tb.clone(),
+            execs: 0,
+        };
+        Lofi {
+            core: Core {
+                m: LofiMachine {
+                    ram: vec![0; PHYS_MEM_SIZE as usize],
+                    ..self.core.m
+                },
+                tlb: self.core.tlb.clone(),
+                fid: self.core.fid,
+                dirty_pages: self.core.dirty_pages.clone(),
+            },
+            tbs: self.tbs.iter().map(|(&eip, t)| (eip, live(t))).collect(),
+            tbs_by_page: self.tbs_by_page.clone(),
+            dead_execs: HashMap::new(),
+            stats: LofiStats::default(),
+            tally: Tally::default(),
+            metrics: self.metrics,
+            max_tb_insns: self.max_tb_insns,
         }
     }
 
@@ -291,11 +355,16 @@ impl Lofi {
         &mut self.core.m
     }
 
-    /// Loads raw bytes into guest RAM.
+    /// Loads raw bytes into guest RAM (wrapping at its end).
     pub fn load_image(&mut self, addr: u32, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = (addr as usize + i) % self.core.m.ram.len();
-            self.core.m.ram[a] = b;
+        let ram = &mut self.core.m.ram;
+        let mut at = addr as usize % ram.len();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let n = rest.len().min(ram.len() - at);
+            ram[at..at + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            at = 0;
         }
     }
 
@@ -315,12 +384,14 @@ impl Lofi {
         sorted_hot(&self.exec_counts())
     }
 
-    /// Executions by entry EIP, live and invalidated blocks together.
+    /// Executions by entry EIP, live and invalidated blocks together;
+    /// blocks a fork inherited and never ran are left out.
     fn exec_counts(&self) -> HashMap<u32, u64> {
         let mut merged = self.dead_execs.clone();
         for (&eip, live) in &self.tbs {
             *merged.entry(eip).or_default() += live.execs;
         }
+        merged.retain(|_, n| *n > 0);
         merged
     }
 
@@ -331,7 +402,6 @@ impl Lofi {
         if self.core.dirty_pages.is_empty() {
             return;
         }
-        let before = self.stats.invalidations;
         for p in std::mem::take(&mut self.core.dirty_pages) {
             for eip in self.tbs_by_page.remove(&p).unwrap_or_default() {
                 if let Entry::Occupied(live) = self.tbs.entry(eip) {
@@ -342,46 +412,19 @@ impl Lofi {
                 }
             }
         }
-        if self.stats.invalidations != before {
-            self.metrics
-                .invalidations
-                .add(self.stats.invalidations - before);
-        }
     }
 
     /// Runs until halt, exception, or the block budget expires.
     pub fn run(&mut self, max_blocks: u64) -> RunExit {
-        // Per-block counter deltas, accumulated locally and flushed once
-        // per `run` exit: one relaxed RMW per counter per run instead of
-        // per dispatched block.
-        #[derive(Default)]
-        struct Pending {
-            hits: u64,
-            insns: u64,
-            exit_next: u64,
-        }
-        fn flush(m: &LofiMetrics, p: &Pending) {
-            for (c, n) in [
-                (&m.tb_hits, p.hits),
-                (&m.insns, p.insns),
-                (&m.exit_next, p.exit_next),
-            ] {
-                if n > 0 {
-                    c.add(n);
-                }
-            }
-        }
-        let mut p = Pending::default();
         for _ in 0..max_blocks {
             let eip = self.core.m.eip;
             let live = match self.tbs.entry(eip) {
                 Entry::Occupied(o) => {
                     self.stats.cache_hits += 1;
-                    p.hits += 1;
                     o.into_mut()
                 }
                 Entry::Vacant(v) => {
-                    self.metrics.tb_misses.inc();
+                    self.tally.tb_misses += 1;
                     match translate::translate_block(
                         &mut self.core.m,
                         &mut self.core.tlb,
@@ -397,40 +440,34 @@ impl Lofi {
                             v.insert(LiveTb { tb, execs: 0 })
                         }
                         Err(e) => {
-                            flush(&self.metrics, &p);
-                            self.metrics.run_exception.inc();
+                            self.tally.run_exception += 1;
                             return RunExit::Exception(e);
                         }
                     }
                 }
             };
             live.execs += 1;
-            let insns = live.tb.insns as u64;
-            self.stats.insns += insns;
-            p.insns += insns;
+            self.stats.insns += live.tb.insns as u64;
             let exit = exec::exec_tb(&mut self.core, &live.tb);
             self.invalidate_dirty();
             match exit {
                 TbExit::Next(next) => {
-                    p.exit_next += 1;
+                    self.tally.exit_next += 1;
                     self.core.m.eip = next;
                 }
                 TbExit::Halt => {
-                    flush(&self.metrics, &p);
-                    self.metrics.exit_halt.inc();
-                    self.metrics.run_halted.inc();
+                    self.tally.exit_halt += 1;
+                    self.tally.run_halted += 1;
                     return RunExit::Halted;
                 }
                 TbExit::Fault(e) => {
-                    flush(&self.metrics, &p);
-                    self.metrics.exit_fault.inc();
-                    self.metrics.run_exception.inc();
+                    self.tally.exit_fault += 1;
+                    self.tally.run_exception += 1;
                     return RunExit::Exception(e);
                 }
             }
         }
-        flush(&self.metrics, &p);
-        self.metrics.run_step_limit.inc();
+        self.tally.run_step_limit += 1;
         RunExit::StepLimit
     }
 
@@ -560,6 +597,26 @@ mod tests {
             loop_count >= 4,
             "dropped instance must merge its TB counts: {hot:?}"
         );
+    }
+
+    #[test]
+    fn fork_keeps_blocks_and_starts_counts_at_zero() {
+        let mut emu = Lofi::new(Fidelity::QEMU_LIKE);
+        flat(&mut emu);
+        // mov ecx, 5; L: dec ecx; jnz L; hlt
+        let code = [0xb9, 5, 0, 0, 0, 0x49, 0x75, 0xfd, 0xf4];
+        emu.load_image(0x1000, &code);
+        assert_eq!(emu.run(64), RunExit::Halted);
+        let mut fork = emu.fork();
+        assert_eq!(fork.machine().eip, emu.machine().eip);
+        assert!(fork.machine().ram.iter().all(|&b| b == 0));
+        assert!(fork.tb_exec_counts().is_empty());
+        fork.load_image(0x1000, &code);
+        fork.set_eip(0x1000);
+        assert_eq!(fork.run(64), RunExit::Halted);
+        assert_eq!(fork.stats().translations, 0, "blocks carry over");
+        assert_eq!(fork.stats().insns, emu.stats().insns);
+        assert_eq!(fork.tb_exec_counts(), emu.tb_exec_counts());
     }
 
     #[test]

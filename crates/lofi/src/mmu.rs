@@ -42,7 +42,7 @@ struct TlbEntry {
 }
 
 /// The software TLB.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Tlb {
     entries: HashMap<u32, TlbEntry>,
     /// Physical pages holding page-table structures seen by walks. Guest

@@ -7,6 +7,13 @@
 //! has provided natively since Rust 1.63, so this module adds only the
 //! work-queue loop and per-worker observability.
 //!
+//! One worker runs on the calling thread instead of a spawned one. A thread
+//! spawned per call gets its own malloc arena (glibc gives each new thread
+//! one), and its free-chunk cache can hand it chunks of the caller's arena
+//! too, so how a call's memory splits between the two heaps — and with it
+//! the process's peak resident size — changed from one run of the same
+//! work to the next. On the calling thread every call shares one heap.
+//!
 //! The pool is the harness's fault boundary: each item runs under
 //! `catch_unwind`, so a panicking item becomes a [`QuarantineRecord`] on the
 //! [`PoolRun`] — item index, panic payload, and a flight-recorder dump —
@@ -116,7 +123,7 @@ pub fn for_each(threads: usize, items: usize, f: impl Fn(usize) + Sync) -> PoolR
 /// [`PoolRun::quarantined`] with the panic message and a flight-recorder
 /// dump; the worker then continues with the next item — the panic poisons
 /// nothing because all per-item state is owned by the closure invocation.
-/// A worker thread that somehow dies outside the item boundary surfaces as
+/// A spawned worker that somehow dies outside the item boundary surfaces as
 /// a quarantine record with `item: None`, never as a harness abort.
 ///
 /// When `deadline` is given, workers stop claiming new items once it
@@ -126,10 +133,12 @@ pub fn for_each(threads: usize, items: usize, f: impl Fn(usize) + Sync) -> PoolR
 /// The pool never spawns a worker that cannot receive an item: the thread
 /// count is clamped to the item count, and zero items spawn zero workers —
 /// so [`PoolRun::workers`] reports live workers only, never idle padding.
-/// Each worker drains its trace buffer ([`crate::trace::flush_thread`]) and
-/// merges its profiler aggregate ([`crate::prof::flush_thread`]) as it
-/// exits, so spans and frames recorded inside `f` are visible to a
-/// subsequent export without further coordination.
+/// A single worker is the calling thread itself, so its spans and frames
+/// nest under the caller's. Each worker drains its trace buffer
+/// ([`crate::trace::flush_thread`]) and merges its profiler aggregate
+/// ([`crate::prof::flush_thread`]) when the queue is done, so spans and
+/// frames recorded inside `f` are visible to a subsequent export without
+/// further coordination.
 pub fn for_each_budgeted(
     threads: usize,
     items: usize,
@@ -149,82 +158,45 @@ pub fn for_each_budgeted(
     let deadline_hit = AtomicBool::new(false);
     let quarantine: Mutex<Vec<QuarantineRecord>> = Mutex::new(Vec::new());
     let attempted = AtomicUsize::new(0);
-    let mut workers = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let next = &next;
-                let f = &f;
-                let quarantine = &quarantine;
-                let deadline_hit = &deadline_hit;
-                let attempted = &attempted;
-                scope.spawn(move || {
-                    if crate::trace::enabled() {
-                        crate::trace::set_thread_name(format!("worker-{worker}"));
-                    }
-                    let mut stats = WorkerStats {
-                        worker,
-                        ..WorkerStats::default()
-                    };
-                    loop {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                deadline_hit.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items {
-                            break;
-                        }
-                        attempted.fetch_add(1, Ordering::Relaxed);
-                        let t = Instant::now();
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            let _scope = fault::scope(i as u64);
-                            fault::inject("pool.item", i as u64);
-                            f(i)
-                        }));
-                        stats.busy += t.elapsed();
-                        match run {
-                            Ok(()) => stats.items += 1,
-                            Err(payload) => {
-                                crate::metrics::counter("pool.quarantined").inc();
-                                let message = payload_message(payload.as_ref());
-                                flight::note("pool.quarantine", || {
-                                    format!("item {i} worker {worker}: {message}")
-                                });
-                                quarantine.lock().unwrap_or_else(|e| e.into_inner()).push(
-                                    QuarantineRecord {
-                                        item: Some(i),
-                                        worker,
-                                        message,
-                                        flight: flight::snapshot(),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    crate::trace::flush_thread();
-                    crate::prof::flush_thread();
-                    stats
-                })
-            })
-            .collect();
-        for (worker, h) in handles.into_iter().enumerate() {
-            // Even the join path must not abort the harness: a worker that
-            // died outside the per-item catch_unwind (a panic in the pool's
-            // own epilogue, or a foreign unwind) becomes a quarantine
-            // record attributed to the worker, with no item index.
-            match h.join() {
-                Ok(stats) => workers.push(stats),
+    // One worker: claim items until the queue drains or the deadline
+    // passes, then flush this thread's spans and frames.
+    let work = |worker: usize| {
+        let mut stats = WorkerStats {
+            worker,
+            ..WorkerStats::default()
+        };
+        loop {
+            if let Some(d) = deadline {
+                if Instant::now() >= d {
+                    deadline_hit.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items {
+                break;
+            }
+            attempted.fetch_add(1, Ordering::Relaxed);
+            let t = Instant::now();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let _scope = fault::scope(i as u64);
+                fault::inject("pool.item", i as u64);
+                f(i)
+            }));
+            stats.busy += t.elapsed();
+            match run {
+                Ok(()) => stats.items += 1,
                 Err(payload) => {
                     crate::metrics::counter("pool.quarantined").inc();
                     let message = payload_message(payload.as_ref());
+                    flight::note("pool.quarantine", || {
+                        format!("item {i} worker {worker}: {message}")
+                    });
                     quarantine
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .push(QuarantineRecord {
-                            item: None,
+                            item: Some(i),
                             worker,
                             message,
                             flight: flight::snapshot(),
@@ -232,7 +204,50 @@ pub fn for_each_budgeted(
                 }
             }
         }
-    });
+        crate::trace::flush_thread();
+        crate::prof::flush_thread();
+        stats
+    };
+    let mut workers = Vec::with_capacity(threads);
+    if threads == 1 {
+        workers.push(work(0));
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|worker| {
+                    let work = &work;
+                    scope.spawn(move || {
+                        if crate::trace::enabled() {
+                            crate::trace::set_thread_name(format!("worker-{worker}"));
+                        }
+                        work(worker)
+                    })
+                })
+                .collect();
+            for (worker, h) in handles.into_iter().enumerate() {
+                // Even the join path must not abort the harness: a worker
+                // that died outside the per-item catch_unwind (a panic in
+                // the pool's own epilogue, or a foreign unwind) becomes a
+                // quarantine record attributed to the worker, with no item
+                // index.
+                match h.join() {
+                    Ok(stats) => workers.push(stats),
+                    Err(payload) => {
+                        crate::metrics::counter("pool.quarantined").inc();
+                        let message = payload_message(payload.as_ref());
+                        quarantine.lock().unwrap_or_else(|e| e.into_inner()).push(
+                            QuarantineRecord {
+                                item: None,
+                                worker,
+                                message,
+                                flight: flight::snapshot(),
+                            },
+                        );
+                    }
+                }
+            }
+        });
+    }
     let mut quarantined = quarantine.into_inner().unwrap_or_else(|e| e.into_inner());
     // Item order, not arrival order: deterministic across thread counts.
     quarantined.sort_by_key(|q| q.item);
@@ -291,6 +306,25 @@ mod tests {
         let order = Mutex::new(Vec::new());
         for_each(1, 10, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_worker_is_the_calling_thread() {
+        let _g = crate::fault::test_lock();
+        let caller = std::thread::current().id();
+        let on_caller = Mutex::new(Vec::new());
+        for threads in [1, 2] {
+            for_each(threads, 4, |_| {
+                on_caller
+                    .lock()
+                    .unwrap()
+                    .push(std::thread::current().id() == caller)
+            });
+        }
+        assert_eq!(
+            *on_caller.lock().unwrap(),
+            [true, true, true, true, false, false, false, false]
+        );
     }
 
     #[test]
