@@ -42,7 +42,7 @@ use pokemu::harness::{
 };
 use pokemu::lofi::Fidelity;
 use pokemu::testgen::{TestProgram, TestState};
-use pokemu_rt::{history, metrics, prof, rng};
+use pokemu_rt::{history, metrics, rng, trace};
 
 /// Schema version stamped into every perf JSON and baseline.
 const SCHEMA: u64 = 1;
@@ -307,7 +307,6 @@ fn summary_crossover() -> WorkloadResult {
 fn pipeline_smoke() -> WorkloadResult {
     let calib_ns = calibrate(1 << 17);
     let m0 = metrics::snapshot();
-    let t = Instant::now();
     let cv = run_cross_validation(PipelineConfig {
         first_byte: Some(0x80),
         max_instructions: 2,
@@ -315,7 +314,7 @@ fn pipeline_smoke() -> WorkloadResult {
         threads: 2,
         ..PipelineConfig::default()
     });
-    let total_ns = t.elapsed().as_nanos() as u64;
+    let total_ns = cv.stages.total_wall.as_nanos() as u64;
     let delta = metrics::snapshot().since(&m0);
 
     let queries = delta.counter("solver.queries").max(1);
@@ -366,9 +365,10 @@ fn main() {
         }
     }
 
-    // Timing attribution on: the per-origin solver timers feed the
-    // pipeline_smoke ratio. Counters stay deterministic regardless.
-    prof::set_enabled(true);
+    // Timing attribution on (the profile sink: no events held in memory):
+    // the per-origin solver timers feed the pipeline_smoke ratio. Counters
+    // stay deterministic regardless.
+    trace::set_profiling(true);
 
     let bench_dir = pokemu_rt::bench::target_dir().join("bench");
     std::fs::create_dir_all(&bench_dir).expect("create target/bench");

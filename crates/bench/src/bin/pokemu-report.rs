@@ -18,9 +18,10 @@
 //! text.
 //!
 //! The default (no subcommand) mode reads the Chrome `trace_event` JSON and
-//! metrics JSONL that `run_cross_validation` writes under `POKEMU_TRACE=1`
-//! and prints where the time went; `--check` gates on the trace parsing,
-//! all five Fig. 1 stage spans being present, and zero dropped events.
+//! the run's metrics JSONL that `run_cross_validation` writes under
+//! `POKEMU_TRACE=1` and prints where the time went; `--check` gates on the
+//! trace parsing, all five Fig. 1 stage spans being present, and zero
+//! dropped events.
 //!
 //! `coverage` prints the coverage section of a run manifest (written under
 //! `POKEMU_RUN_MANIFEST=1`). `diff` compares a run manifest against a
@@ -31,13 +32,14 @@
 //! DESIGN.md §13); `diff` additionally fails when shards are poisoned that
 //! the baseline did not have, naming each one.
 //!
-//! `perf` is the performance-observatory view: the pipeline wall-time
-//! attribution table (with `--check` requiring ≥95% of `pipeline.ns.total`
-//! attributed to the four top-level stages), the lofi/hifi per-run
-//! throughput ratio, the hottest lo-fi translation blocks, and solver time
-//! split by query origin. `bench` gates the `pokemu-bench` workload
-//! results against the committed baselines in `tests/baselines/bench/`:
-//! counts must match exactly, ratios must stay inside their bands.
+//! `perf` is the performance-observatory view: the stage attribution the
+//! default mode prints too, from one function over the `pipeline.run` span
+//! and its stage spans (`--check` requires ≥95% of the run span attributed
+//! to its four top-level stages), the lofi/hifi throughput ratio over the
+//! run's `target.*` spans, the hottest lo-fi translation blocks, and solver
+//! time by query origin. `bench` gates the `pokemu-bench` workload results
+//! against the committed baselines in `tests/baselines/bench/`: counts must
+//! match exactly, ratios must stay inside their bands.
 //!
 //! `compare`, `trend`, and `history` operate over the run ledger
 //! (`target/history/ledger.jsonl`, DESIGN.md §12): `compare` diffs two
@@ -58,6 +60,7 @@ use pokemu::harness::manifest as run_manifest;
 use pokemu_rt::coverage::MapSnapshot;
 use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::json::{self, escape, Value};
+use pokemu_rt::metrics::MetricsSnapshot;
 use pokemu_rt::trace;
 
 /// Exit code for a failed `--check` gate.
@@ -75,54 +78,33 @@ const STAGES: [&str; 5] = [
     "stage.analyze",
 ];
 
+/// The top-level stages that tile a `pipeline.run` span.
+const RUN_STAGES: [&str; 4] = [
+    "pipeline.setup",
+    "stage.explore_insns",
+    "stage.parallel",
+    "stage.analyze",
+];
+
+/// The per-instruction stages the workers run inside `stage.parallel`.
+const WORKER_STAGES: [&str; 3] = ["stage.explore_states", "stage.testgen", "stage.execute"];
+
 /// One complete (`"ph":"X"`) event pulled back out of the trace file.
 struct Span {
     name: String,
+    id: u64,
+    parent: u64,
     tid: u64,
+    ts_us: f64,
     dur_us: f64,
     insn: Option<String>,
-}
-
-/// One histogram line from the metrics JSONL: (bucket lower bound, count).
-struct Hist {
-    count: u64,
-    sum: u64,
-    buckets: Vec<(u64, u64)>,
-}
-
-impl Hist {
-    /// Quantile by bucket lower bound, mirroring
-    /// `pokemu_rt::metrics::HistogramSnapshot::quantile`.
-    fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for &(lo, c) in &self.buckets {
-            seen += c;
-            if seen > rank {
-                return lo;
-            }
-        }
-        self.buckets.last().map(|&(lo, _)| lo).unwrap_or(0)
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 struct Report {
     spans: Vec<Span>,
     thread_names: BTreeMap<u64, String>,
-    counters: BTreeMap<String, u64>,
-    timers: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Hist>,
+    /// The run's metrics delta, as `run_cross_validation` exported it.
+    metrics: MetricsSnapshot,
 }
 
 fn load(dir: &std::path::Path, run: &str) -> Result<Report, String> {
@@ -146,16 +128,11 @@ fn load(dir: &std::path::Path, run: &str) -> Result<Report, String> {
     for ev in events {
         let ph = ev.get("ph").and_then(Value::as_str).unwrap_or("");
         let tid = ev.get("tid").and_then(Value::as_u64).unwrap_or(0);
+        let arg = |key: &str| ev.get("args").and_then(|a| a.get(key));
         match ph {
-            "M" => {
-                if ev.get("name").and_then(Value::as_str) == Some("thread_name") {
-                    if let Some(n) = ev
-                        .get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(Value::as_str)
-                    {
-                        thread_names.insert(tid, n.to_owned());
-                    }
+            "M" if ev.get("name").and_then(Value::as_str) == Some("thread_name") => {
+                if let Some(n) = arg("name").and_then(Value::as_str) {
+                    thread_names.insert(tid, n.to_owned());
                 }
             }
             "X" => spans.push(Span {
@@ -164,69 +141,25 @@ fn load(dir: &std::path::Path, run: &str) -> Result<Report, String> {
                     .and_then(Value::as_str)
                     .unwrap_or("?")
                     .to_owned(),
+                id: arg("span").and_then(Value::as_u64).unwrap_or(0),
+                parent: arg("parent").and_then(Value::as_u64).unwrap_or(0),
                 tid,
+                ts_us: ev.get("ts").and_then(Value::as_f64).unwrap_or(0.0),
                 dur_us: ev.get("dur").and_then(Value::as_f64).unwrap_or(0.0),
-                insn: ev
-                    .get("args")
-                    .and_then(|a| a.get("insn"))
-                    .and_then(Value::as_str)
-                    .map(str::to_owned),
+                insn: arg("insn").and_then(Value::as_str).map(str::to_owned),
             }),
             _ => {}
         }
     }
 
-    let mut counters = BTreeMap::new();
-    let mut timers = BTreeMap::new();
-    let mut histograms = BTreeMap::new();
     let mtext = std::fs::read_to_string(&metrics_path)
         .map_err(|e| format!("cannot read {}: {e}", metrics_path.display()))?;
-    for line in mtext.lines().filter(|l| !l.trim().is_empty()) {
-        let v = json::parse(line).map_err(|e| format!("{}: {e}", metrics_path.display()))?;
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        match v.get("kind").and_then(Value::as_str) {
-            Some("counter") => {
-                counters.insert(name, v.get("value").and_then(Value::as_u64).unwrap_or(0));
-            }
-            Some("histogram") => {
-                let buckets = v
-                    .get("buckets")
-                    .and_then(Value::as_array)
-                    .map(|bs| {
-                        bs.iter()
-                            .filter_map(|b| {
-                                let pair = b.as_array()?;
-                                Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                histograms.insert(
-                    name,
-                    Hist {
-                        count: v.get("count").and_then(Value::as_u64).unwrap_or(0),
-                        sum: v.get("sum").and_then(Value::as_u64).unwrap_or(0),
-                        buckets,
-                    },
-                );
-            }
-            Some("timer") => {
-                timers.insert(name, v.get("ns").and_then(Value::as_u64).unwrap_or(0));
-            }
-            _ => {}
-        }
-    }
-
+    let metrics = MetricsSnapshot::from_jsonl(&mtext)
+        .map_err(|e| format!("{}: {e}", metrics_path.display()))?;
     Ok(Report {
         spans,
         thread_names,
-        counters,
-        timers,
-        histograms,
+        metrics,
     })
 }
 
@@ -242,6 +175,38 @@ fn pct(part: f64, whole: f64) -> f64 {
     }
 }
 
+/// Where the pipeline's wall time went: the `pipeline.run` spans and the
+/// time of their direct children among [`RUN_STAGES`].
+struct Attribution {
+    run_us: f64,
+    stages: [(&'static str, f64); 4],
+}
+
+impl Attribution {
+    fn attributed_us(&self) -> f64 {
+        self.stages.iter().map(|&(_, us)| us).sum()
+    }
+
+    /// The attribution table the default view and `perf` both print.
+    fn print(&self) {
+        for (name, us) in self.stages {
+            println!(
+                "  {name:<22} {:>12}  {:5.1}% of run",
+                ms(us),
+                pct(us, self.run_us)
+            );
+        }
+        let attributed = self.attributed_us();
+        println!(
+            "  {:<22} {:>12}  ({:.1}% of pipeline.run = {})",
+            "attributed",
+            ms(attributed),
+            pct(attributed, self.run_us),
+            ms(self.run_us)
+        );
+    }
+}
+
 impl Report {
     fn stage_total(&self, name: &str) -> f64 {
         self.spans
@@ -251,36 +216,53 @@ impl Report {
             .sum()
     }
 
-    fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    fn runs(&self) -> impl Iterator<Item = &Span> {
+        self.spans.iter().filter(|s| s.name == "pipeline.run")
+    }
+
+    /// Stage attribution from the `pipeline.run` spans and their stage
+    /// children — the one computation behind both reports.
+    fn attribution(&self) -> Attribution {
+        let runs: Vec<u64> = self.runs().map(|r| r.id).collect();
+        Attribution {
+            run_us: self.stage_total("pipeline.run"),
+            stages: RUN_STAGES.map(|name| {
+                let us = self
+                    .spans
+                    .iter()
+                    .filter(|s| s.name == name && runs.contains(&s.parent))
+                    .map(|s| s.dur_us)
+                    .sum();
+                (name, us)
+            }),
+        }
+    }
+
+    /// `(spans, mean µs)` of the `target.<target>` spans that started inside
+    /// a `pipeline.run` span, on any thread: the run's emulator executions,
+    /// not the whole process's.
+    fn target_runs(&self, target: &str) -> (usize, f64) {
+        let name = format!("target.{target}");
+        let in_run: Vec<f64> = self
+            .spans
+            .iter()
+            .filter(|s| {
+                s.name == name
+                    && self
+                        .runs()
+                        .any(|r| s.ts_us >= r.ts_us && s.ts_us <= r.ts_us + r.dur_us)
+            })
+            .map(|s| s.dur_us)
+            .collect();
+        let mean = in_run.iter().sum::<f64>() / in_run.len().max(1) as f64;
+        (in_run.len(), mean)
     }
 
     fn print(&self, top: usize) {
-        // Stage breakdown: wall spans vs. the run span they tile.
-        let run = self.stage_total("pipeline.run");
         println!("== stage breakdown");
-        for name in [
-            "pipeline.setup",
-            "stage.explore_insns",
-            "stage.parallel",
-            "stage.analyze",
-        ] {
-            let d = self.stage_total(name);
-            println!("  {name:<22} {:>12}  {:5.1}% of run", ms(d), pct(d, run));
-        }
-        let tiled = self.stage_total("pipeline.setup")
-            + self.stage_total("stage.explore_insns")
-            + self.stage_total("stage.parallel")
-            + self.stage_total("stage.analyze");
-        println!(
-            "  {:<22} {:>12}  (spans cover {:.1}% of pipeline.run = {})",
-            "sum",
-            ms(tiled),
-            pct(tiled, run),
-            ms(run)
-        );
+        self.attribution().print();
         println!("== worker time inside stage.parallel");
-        for name in ["stage.explore_states", "stage.testgen", "stage.execute"] {
+        for name in WORKER_STAGES {
             let d = self.stage_total(name);
             println!("  {name:<22} {:>12}", ms(d));
         }
@@ -310,12 +292,12 @@ impl Report {
         }
 
         // Solver work split.
-        let queries = self.counter("solver.queries");
-        let sat = self.counter("solver.sat");
-        let unsat = self.counter("solver.unsat");
-        let unknown = self.counter("solver.unknown");
-        let summary_hits = self.counter("symx.summary_hits");
-        let cache_hits = self.counter("symx.pick_cache_hits");
+        let queries = self.metrics.counter("solver.queries");
+        let sat = self.metrics.counter("solver.sat");
+        let unsat = self.metrics.counter("solver.unsat");
+        let unknown = self.metrics.counter("solver.unknown");
+        let summary_hits = self.metrics.counter("symx.summary_hits");
+        let cache_hits = self.metrics.counter("symx.pick_cache_hits");
         println!("== solver");
         println!(
             "  queries {queries}  sat {sat} ({:.1}%)  unsat {unsat} ({:.1}%)  unknown {unknown}",
@@ -323,8 +305,8 @@ impl Report {
             pct(unsat as f64, queries as f64)
         );
         println!("  summary hits {summary_hits}  pick-cache hits {cache_hits}");
-        let quarantined = self.counter("pool.quarantined");
-        let injected = self.counter("fault.injected");
+        let quarantined = self.metrics.counter("pool.quarantined");
+        let injected = self.metrics.counter("fault.injected");
         if quarantined > 0 || injected > 0 {
             println!("== robustness");
             println!("  pool.quarantined {quarantined}  fault.injected {injected}");
@@ -357,17 +339,17 @@ impl Report {
 
         // Histogram summaries.
         println!("== histograms");
-        for (name, h) in &self.histograms {
+        for (name, h) in &self.metrics.histograms {
             println!(
                 "  {name:<22} n={:<7} mean={:<12.1} p50>={:<10} p95>={}",
                 h.count,
                 h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.95)
+                h.p50(),
+                h.p95()
             );
         }
         println!("== trace health");
-        let dropped = self.counter("trace.dropped_events");
+        let dropped = self.metrics.counter("trace.dropped_events");
         println!("  trace.dropped_events {dropped}");
         if dropped > 0 {
             println!(
@@ -388,71 +370,27 @@ impl Report {
         if !missing.is_empty() {
             return Err(format!("missing stage spans: {}", missing.join(", ")));
         }
-        let dropped = self.counter("trace.dropped_events");
+        let dropped = self.metrics.counter("trace.dropped_events");
         if dropped > 0 {
             return Err(format!("trace.dropped_events = {dropped} (want 0)"));
         }
         Ok(())
     }
 
-    fn timer(&self, name: &str) -> u64 {
-        self.timers.get(name).copied().unwrap_or(0)
-    }
-
-    /// The four top-level stage timers the attribution gate sums, as
-    /// `(label, ns)` pairs.
-    fn attribution(&self) -> [(&'static str, u64); 4] {
-        [
-            ("pipeline.ns.setup", self.timer("pipeline.ns.setup")),
-            (
-                "pipeline.ns.explore_insns",
-                self.timer("pipeline.ns.explore_insns"),
-            ),
-            ("pipeline.ns.parallel", self.timer("pipeline.ns.parallel")),
-            ("pipeline.ns.analyze", self.timer("pipeline.ns.analyze")),
-        ]
-    }
-
-    /// Mean `target.<name>.ns / target.<name>.runs` in nanoseconds.
-    fn target_mean_ns(&self, target: &str) -> f64 {
-        let runs = self.counter(&format!("target.{target}.runs"));
-        if runs == 0 {
-            return 0.0;
-        }
-        self.timer(&format!("target.{target}.ns")) as f64 / runs as f64
-    }
-
     /// The performance-observatory view over one exported run.
     fn print_perf(&self, hot: &[(u64, u64)], top: usize) {
-        let total = self.timer("pipeline.ns.total");
-        println!("== wall-time attribution (pipeline.ns.*)");
-        let mut attributed = 0u64;
-        for (name, ns) in self.attribution() {
-            attributed += ns;
-            println!(
-                "  {name:<28} {:>12}  {:5.1}% of total",
-                ms(ns as f64 / 1000.0),
-                pct(ns as f64, total as f64)
-            );
-        }
-        println!(
-            "  {:<28} {:>12}  ({:.1}% of pipeline.ns.total = {})",
-            "attributed",
-            ms(attributed as f64 / 1000.0),
-            pct(attributed as f64, total as f64),
-            ms(total as f64 / 1000.0)
-        );
+        println!("== wall-time attribution (pipeline.run stage spans)");
+        self.attribution().print();
 
         println!("== emulator throughput (mean per run_program)");
-        let hifi = self.target_mean_ns("hifi");
-        let lofi = self.target_mean_ns("lofi");
-        let hw = self.target_mean_ns("hardware");
+        let (_, hifi) = self.target_runs("hifi");
+        let (lofi_runs, lofi) = self.target_runs("lofi");
+        let (_, hw) = self.target_runs("hardware");
         println!(
-            "  hifi {:>12}  lofi {:>12}  hardware {:>12}  ({} runs each side)",
-            ms(hifi / 1000.0),
-            ms(lofi / 1000.0),
-            ms(hw / 1000.0),
-            self.counter("target.lofi.runs")
+            "  hifi {:>12}  lofi {:>12}  hardware {:>12}  ({lofi_runs} runs each side)",
+            ms(hifi),
+            ms(lofi),
+            ms(hw),
         );
         if lofi > 0.0 {
             let r = hifi / lofi;
@@ -467,8 +405,8 @@ impl Report {
         }
 
         // TB-cache health: how many block dispatches had to translate.
-        let misses = self.counter("lofi.tb_lookup.misses");
-        let dispatches = self.counter("lofi.tb_lookup.hits") + misses;
+        let misses = self.metrics.counter("lofi.tb_lookup.misses");
+        let dispatches = self.metrics.counter("lofi.tb_lookup.hits") + misses;
         if dispatches > 0 {
             println!(
                 "  translations per dispatch {:.4}  ({misses} of {dispatches} lo-fi block \
@@ -488,8 +426,8 @@ impl Report {
 
         println!("== solver time by query origin");
         for o in pokemu::solver::origin::ORIGINS {
-            let q = self.counter(&format!("solver.queries.{o}"));
-            let ns = self.timer(&format!("solver.ns.{o}"));
+            let q = self.metrics.counter(&format!("solver.queries.{o}"));
+            let ns = self.metrics.timer_ns(&format!("solver.ns.{o}"));
             if q == 0 && ns == 0 {
                 continue;
             }
@@ -503,36 +441,110 @@ impl Report {
                 ms(ns as f64 / 1000.0)
             );
         }
-        let dropped = self.counter("trace.dropped_events");
+        let dropped = self.metrics.counter("trace.dropped_events");
         if dropped > 0 {
             println!("  WARNING: trace ring dropped {dropped} event(s); timings undercount");
         }
     }
 
-    /// `perf --check` gate: the four stage timers must cover ≥95% of the
-    /// pipeline's total wall time — anything less means a stage is running
-    /// outside the attribution (a new unattributed phase crept in).
+    /// `perf --check` gate: the run's stage spans must cover ≥95% of its
+    /// `pipeline.run` span — anything less means a stage is running outside
+    /// the attribution (a new unattributed phase crept in).
     fn check_perf(&self) -> Result<(), String> {
-        let total = self.timer("pipeline.ns.total");
-        if total == 0 {
+        let a = self.attribution();
+        if a.run_us <= 0.0 {
             return Err(
-                "no pipeline.ns.total timer in the metrics dump (re-run the pipeline under \
-                 POKEMU_TRACE=1 or POKEMU_PROF=1)"
+                "no pipeline.run span in the trace (re-run the pipeline under POKEMU_TRACE=1)"
                     .to_owned(),
             );
         }
-        let attributed: u64 = self.attribution().iter().map(|&(_, ns)| ns).sum();
-        let frac = attributed as f64 / total as f64;
+        let frac = a.attributed_us() / a.run_us;
         if frac < 0.95 {
             return Err(format!(
                 "only {:.1}% of pipeline wall time attributed to stages (want ≥95%): \
                  attributed {} of {}",
                 100.0 * frac,
-                ms(attributed as f64 / 1000.0),
-                ms(total as f64 / 1000.0)
+                ms(a.attributed_us()),
+                ms(a.run_us)
             ));
         }
         Ok(())
+    }
+
+    /// The default mode's `--json` fields.
+    fn json(&self) -> String {
+        let stages: Vec<String> = ["pipeline.run"]
+            .into_iter()
+            .chain(RUN_STAGES)
+            .chain(WORKER_STAGES)
+            .map(|name| format!("\"{}\":{}", escape(name), jnum(self.stage_total(name))))
+            .collect();
+        let counters: Vec<String> = self
+            .metrics
+            .counters
+            .iter()
+            .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
+            .collect();
+        let hists: Vec<String> = self
+            .metrics
+            .histograms
+            .iter()
+            .map(|(k, h)| {
+                format!(
+                    "\"{}\":{{\"n\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+                    escape(k),
+                    h.count,
+                    jnum(h.mean()),
+                    h.p50(),
+                    h.p95(),
+                    h.p99()
+                )
+            })
+            .collect();
+        format!(
+            "\"stage_us\":{{{}}},\"counters\":{{{}}},\"histograms\":{{{}}}",
+            stages.join(","),
+            counters.join(","),
+            hists.join(",")
+        )
+    }
+
+    /// `perf`'s `--json` fields.
+    fn perf_json(&self, hot: &[(u64, u64)], top: usize) -> String {
+        let attribution = self.attribution();
+        let stages: Vec<String> = attribution
+            .stages
+            .iter()
+            .map(|(name, us)| format!("\"{}\":{}", escape(name), jnum(us * 1000.0)))
+            .collect();
+        let target_mean_ns = |target: &str| jnum(self.target_runs(target).1 * 1000.0);
+        let hot_rows: Vec<String> = hot
+            .iter()
+            .take(top)
+            .map(|(eip, execs)| format!("[{eip},{execs}]"))
+            .collect();
+        let origins: Vec<String> = pokemu::solver::origin::ORIGINS
+            .iter()
+            .map(|o| {
+                format!(
+                    "\"{o}\":{{\"queries\":{},\"ns\":{}}}",
+                    self.metrics.counter(&format!("solver.queries.{o}")),
+                    self.metrics.timer_ns(&format!("solver.ns.{o}"))
+                )
+            })
+            .collect();
+        format!(
+            "\"total_ns\":{},\"attribution\":{{{}}},\
+             \"target_mean_ns\":{{\"hifi\":{},\"lofi\":{},\"hardware\":{}}},\
+             \"hot_tbs\":[{}],\"solver\":{{{}}}",
+            jnum(attribution.run_us * 1000.0),
+            stages.join(","),
+            target_mean_ns("hifi"),
+            target_mean_ns("lofi"),
+            target_mean_ns("hardware"),
+            hot_rows.join(","),
+            origins.join(",")
+        )
     }
 }
 
@@ -558,15 +570,60 @@ fn load_hot_tbs(dir: &Path, run: &str) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// `pokemu-report perf`: wall-time attribution, throughput ratio, hot TBs,
-/// and solver origin split for one exported run.
-fn cmd_perf(args: &mut std::env::Args) -> ExitCode {
+/// The default mode and `perf`: two views over one exported run that share
+/// flags, loading, the `--json` envelope and the `--check` exit codes.
+struct View {
+    mode: &'static str,
+    usage: &'static str,
+    /// The `--check` gate's name, its check, and what passing it means.
+    gate: &'static str,
+    check: fn(&Report) -> Result<(), String>,
+    passed: &'static str,
+    /// The mode's own `--json` fields, given the hot TBs and `--top`.
+    json: fn(&Report, &[(u64, u64)], usize) -> String,
+    /// The text view, given the hot TBs and `--top`.
+    text: fn(&Report, &[(u64, u64)], usize),
+}
+
+const REPORT_VIEW: View = View {
+    mode: "report",
+    usage: "usage: pokemu-report [--run NAME] [--dir PATH] [--top N] [--check]\n\
+            \x20      pokemu-report coverage [--manifest PATH]\n\
+            \x20      pokemu-report diff --baseline PATH [--manifest PATH] [--check]\n\
+            \x20      pokemu-report conformance [--roms DIR] [--threads N] [--write]\n\
+            \x20      pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]\n\
+            \x20      pokemu-report bench [--baselines DIR] [--bench-dir PATH] [--check]\n\
+            \x20      pokemu-report compare <run-a> <run-b> [--ledger PATH]\n\
+            \x20      pokemu-report trend [--last N] [--ledger PATH] [--check]\n\
+            \x20      pokemu-report history <gc|verify> [--cap N] [--ledger PATH]\n\
+            (every mode also accepts --json for machine-readable output)",
+    gate: "check",
+    check: Report::check,
+    passed: "all Fig.1 stage spans present, 0 dropped events",
+    json: |r, _, _| r.json(),
+    text: |r, _, top| r.print(top),
+};
+
+const PERF_VIEW: View = View {
+    mode: "perf",
+    usage: "usage: pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check] [--json]",
+    gate: "perf check",
+    check: Report::check_perf,
+    passed: "≥95% of pipeline wall time attributed",
+    json: Report::perf_json,
+    text: Report::print_perf,
+};
+
+/// Runs `view` over the exported run its flags name (`first`, if any, is
+/// the first flag).
+fn cmd_view(view: &View, first: Option<String>, args: &mut std::env::Args) -> ExitCode {
     let mut run = "cross_validation".to_owned();
     let mut dir = trace::trace_dir();
     let mut top = 10usize;
     let mut check = false;
     let mut json_out = false;
-    while let Some(a) = args.next() {
+    let mut pending = first;
+    while let Some(a) = pending.take().or_else(|| args.next()) {
         match a.as_str() {
             "--run" => run = args.next().unwrap_or_default(),
             "--dir" => dir = args.next().unwrap_or_default().into(),
@@ -574,9 +631,7 @@ fn cmd_perf(args: &mut std::env::Args) -> ExitCode {
             "--check" => check = true,
             "--json" => json_out = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check] [--json]"
-                );
+                println!("{}", view.usage);
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -593,63 +648,33 @@ fn cmd_perf(args: &mut std::env::Args) -> ExitCode {
         }
     };
     let hot = load_hot_tbs(&dir, &run);
-    let check_result = if check {
-        Some(report.check_perf())
-    } else {
-        None
-    };
+    let verdict = check.then(|| (view.check)(&report));
     if json_out {
-        let attribution: Vec<String> = report
-            .attribution()
-            .iter()
-            .map(|(name, ns)| format!("\"{}\":{ns}", escape(name)))
-            .collect();
-        let hot_rows: Vec<String> = hot
-            .iter()
-            .take(top)
-            .map(|(eip, execs)| format!("[{eip},{execs}]"))
-            .collect();
-        let origins: Vec<String> = pokemu::solver::origin::ORIGINS
-            .iter()
-            .map(|o| {
-                format!(
-                    "\"{o}\":{{\"queries\":{},\"ns\":{}}}",
-                    report.counter(&format!("solver.queries.{o}")),
-                    report.timer(&format!("solver.ns.{o}"))
-                )
-            })
-            .collect();
+        let check = match &verdict {
+            None => "null".to_string(),
+            Some(Ok(())) => "\"ok\"".to_string(),
+            Some(Err(e)) => format!("\"{}\"", escape(e)),
+        };
         println!(
-            "{{\"mode\":\"perf\",\"run\":\"{}\",\"total_ns\":{},\"attribution\":{{{}}},\
-             \"target_mean_ns\":{{\"hifi\":{},\"lofi\":{},\"hardware\":{}}},\
-             \"hot_tbs\":[{}],\"solver\":{{{}}},\"check\":{}}}",
+            "{{\"mode\":\"{}\",\"run\":\"{}\",{},\"check\":{check}}}",
+            view.mode,
             escape(&run),
-            report.timer("pipeline.ns.total"),
-            attribution.join(","),
-            jnum(report.target_mean_ns("hifi")),
-            jnum(report.target_mean_ns("lofi")),
-            jnum(report.target_mean_ns("hardware")),
-            hot_rows.join(","),
-            origins.join(","),
-            match &check_result {
-                None => "null".to_string(),
-                Some(Ok(())) => "\"ok\"".to_string(),
-                Some(Err(e)) => format!("\"{}\"", escape(e)),
-            }
+            (view.json)(&report, &hot, top)
         );
     } else {
-        report.print_perf(&hot, top);
+        (view.text)(&report, &hot, top);
     }
-    if let Some(result) = check_result {
-        if let Err(e) = result {
-            eprintln!("[pokemu-report] perf check FAILED: {e}");
-            return ExitCode::from(EXIT_VIOLATION);
+    match verdict {
+        Some(Err(e)) => {
+            eprintln!("[pokemu-report] {} FAILED: {e}", view.gate);
+            ExitCode::from(EXIT_VIOLATION)
         }
-        if !json_out {
-            println!("[pokemu-report] perf check OK: ≥95% of pipeline wall time attributed");
+        Some(Ok(())) if !json_out => {
+            println!("[pokemu-report] {} OK: {}", view.gate, view.passed);
+            ExitCode::SUCCESS
         }
+        _ => ExitCode::SUCCESS,
     }
-    ExitCode::SUCCESS
 }
 
 /// One committed bench baseline: exact counts plus `[min, max]` ratio
@@ -1950,120 +1975,12 @@ fn main() -> ExitCode {
         Some("coverage") => return cmd_coverage(&mut args),
         Some("diff") => return cmd_diff(&mut args),
         Some("conformance") => return cmd_conformance(&mut args),
-        Some("perf") => return cmd_perf(&mut args),
+        Some("perf") => return cmd_view(&PERF_VIEW, None, &mut args),
         Some("bench") => return cmd_bench(&mut args),
         Some("compare") => return cmd_compare(&mut args),
         Some("trend") => return cmd_trend(&mut args),
         Some("history") => return cmd_history(&mut args),
         _ => {}
     }
-
-    let mut run = "cross_validation".to_owned();
-    let mut dir = trace::trace_dir();
-    let mut top = 10usize;
-    let mut check = false;
-    let mut json_out = false;
-
-    // Legacy trace-report mode: `first` (if any) is an ordinary flag.
-    let mut pending = first;
-    loop {
-        let Some(a) = pending.take().or_else(|| args.next()) else {
-            break;
-        };
-        match a.as_str() {
-            "--run" => run = args.next().unwrap_or_default(),
-            "--dir" => dir = args.next().unwrap_or_default().into(),
-            "--top" => top = args.next().and_then(|v| v.parse().ok()).unwrap_or(top),
-            "--check" => check = true,
-            "--json" => json_out = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: pokemu-report [--run NAME] [--dir PATH] [--top N] [--check]\n\
-                     \x20      pokemu-report coverage [--manifest PATH]\n\
-                     \x20      pokemu-report diff --baseline PATH [--manifest PATH] [--check]\n\
-                     \x20      pokemu-report conformance [--roms DIR] [--threads N] [--write]\n\
-                     \x20      pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]\n\
-                     \x20      pokemu-report bench [--baselines DIR] [--bench-dir PATH] [--check]\n\
-                     \x20      pokemu-report compare <run-a> <run-b> [--ledger PATH]\n\
-                     \x20      pokemu-report trend [--last N] [--ledger PATH] [--check]\n\
-                     \x20      pokemu-report history <gc|verify> [--cap N] [--ledger PATH]\n\
-                     (every mode also accepts --json for machine-readable output)"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(EXIT_MISSING_INPUT);
-            }
-        }
-    }
-
-    let report = match load(&dir, &run) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[pokemu-report] {e}");
-            return ExitCode::from(EXIT_MISSING_INPUT);
-        }
-    };
-    let check_result = if check { Some(report.check()) } else { None };
-    if json_out {
-        let stages: Vec<String> = [
-            "pipeline.run",
-            "pipeline.setup",
-            "stage.explore_insns",
-            "stage.parallel",
-            "stage.analyze",
-            "stage.explore_states",
-            "stage.testgen",
-            "stage.execute",
-        ]
-        .iter()
-        .map(|name| format!("\"{}\":{}", escape(name), jnum(report.stage_total(name))))
-        .collect();
-        let counters: Vec<String> = report
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-            .collect();
-        let hists: Vec<String> = report
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{}\":{{\"n\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                    escape(k),
-                    h.count,
-                    jnum(h.mean()),
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99)
-                )
-            })
-            .collect();
-        println!(
-            "{{\"mode\":\"report\",\"run\":\"{}\",\"stage_us\":{{{}}},\"counters\":{{{}}},\
-             \"histograms\":{{{}}},\"check\":{}}}",
-            escape(&run),
-            stages.join(","),
-            counters.join(","),
-            hists.join(","),
-            match &check_result {
-                None => "null".to_string(),
-                Some(Ok(())) => "\"ok\"".to_string(),
-                Some(Err(e)) => format!("\"{}\"", escape(e)),
-            }
-        );
-    } else {
-        report.print(top);
-    }
-    if let Some(result) = check_result {
-        if let Err(e) = result {
-            eprintln!("[pokemu-report] check FAILED: {e}");
-            return ExitCode::from(EXIT_VIOLATION);
-        }
-        if !json_out {
-            println!("[pokemu-report] check OK: all Fig.1 stage spans present, 0 dropped events");
-        }
-    }
-    ExitCode::SUCCESS
+    cmd_view(&REPORT_VIEW, first, &mut args)
 }

@@ -197,7 +197,6 @@ pub fn explore_state_space(
     config: StateSpaceConfig,
 ) -> StateSpace {
     let _span = pokemu_rt::span!("explore.state_space", insn = insn_hex(insn));
-    let _frame = pokemu_rt::prof::frame("explore.state_space");
     // Solver queries issued anywhere below carry this instruction's hex in
     // their provenance (flight notes, slow-query attribution).
     let _insn_ctx = pokemu_solver::origin::insn_scoped(insn_hex(insn));
@@ -223,16 +222,17 @@ pub fn explore_state_space(
     let mem_template = {
         // Build inside a throwaway exploration so on-demand variables exist
         // consistently; the template itself is deterministic.
-        let _f = pokemu_rt::prof::frame("explore.mem_template");
+        let _span = pokemu_rt::span!("explore.mem_template");
         symstate::symbolic_memory_template(&mut exec, baseline)
     };
 
     let insn_owned: Vec<u8> = insn.to_vec();
     let quirks = Quirks::HIFI;
     let result = exec.explore(|e| {
-        let mut m = pokemu_rt::prof::framed("explore.symbolic_machine", || {
+        let mut m = {
+            let _span = pokemu_rt::span!("explore.symbolic_machine");
             symstate::symbolic_machine(e, baseline, &mem_template)
-        });
+        };
         // Decode from the concrete test bytes — exploration starts after
         // fetch/decode (§3.4).
         let decoded = pokemu_isa::decode(e, |d, i| {
@@ -242,13 +242,16 @@ pub fn explore_state_space(
             Ok(i) => i,
             Err(fault) => return (PathEnd::DecodeFault(fault.vector()), Vec::new()),
         };
-        let before = pokemu_rt::prof::framed("explore.clobbers", || MachineProbe::of(&m));
+        let before = {
+            let _span = pokemu_rt::span!("explore.clobbers");
+            MachineProbe::of(&m)
+        };
         let end = match interp::execute_decoded(e, &mut m, &quirks, &inst, layout::CODE_BASE) {
             StepOutcome::Normal => PathEnd::Retired,
             StepOutcome::Halt => PathEnd::Halted,
             StepOutcome::Exception(ex) => PathEnd::Exception(ex.vector()),
         };
-        let _f = pokemu_rt::prof::frame("explore.clobbers");
+        let _span = pokemu_rt::span!("explore.clobbers");
         (end, before.clobbers_of(&m))
     });
 
@@ -257,7 +260,7 @@ pub fn explore_state_space(
     let mut paths = Vec::with_capacity(result.paths.len());
     for p in &result.paths {
         let (model, mstats) = if config.minimize {
-            let _f = pokemu_rt::prof::frame("explore.minimize");
+            let _span = pokemu_rt::span!("explore.minimize");
             let _o = pokemu_solver::origin::scoped("minimize");
             pokemu_solver::origin::set_path_id(p.path_id);
             minimize(exec.pool(), &p.path_condition, &p.model, &env)

@@ -131,7 +131,7 @@ pub fn build_record(
     r.timing("wall.analyze", ns(out.stages.analyze));
     r.timing("wall.generate", ns(out.stages.generate));
     r.timing("wall.execute", ns(out.stages.execute));
-    // …plus every run-delta timer (per-origin solver time when profiling
+    // …plus every run-delta timer (per-origin solver time when a span sink
     // is on) and histogram percentiles under documented names.
     for (name, value) in &delta.timers {
         r.timing(name.clone(), *value as f64);

@@ -11,14 +11,16 @@
 //! `pipeline.run` span containing one span per Fig. 1 stage
 //! (`stage.explore_insns`, `stage.explore_states`, `stage.testgen`,
 //! `stage.execute`, `stage.analyze`), with one `pipeline.instruction` span
-//! per explored instruction on the worker that processed it. Stage worker
-//! time accumulates in `stage.*.ns` timer metrics, and [`StageStats`] is a
-//! view over those plus the span durations — there are no private timing
-//! counters left in the pipeline itself. Span recording is off unless
-//! [`PipelineConfig::trace`] or `POKEMU_TRACE=1` turns it on; when the
-//! environment variable is set, a finished run also exports
+//! per explored instruction on the worker that processed it. Each span is
+//! the one measurement of its region: [`StageStats`] is built from the
+//! durations the spans return, and the same spans feed the Chrome trace
+//! (events: [`PipelineConfig::trace`] or `POKEMU_TRACE=1`) and the folded
+//! profile (`POKEMU_PROF=1`) when those sinks are on. Under
+//! `POKEMU_TRACE=1` a finished run also exports
 //! `target/trace/cross_validation.trace.json` (Chrome `trace_event` format)
-//! and `target/trace/cross_validation.metrics.jsonl` for `pokemu-report`.
+//! and the run's metrics delta as `cross_validation.metrics.jsonl`; under
+//! `POKEMU_PROF=1` it exports `target/prof/cross_validation.folded`. Both
+//! are read by `pokemu-report` and `scripts/ci.sh`.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -143,12 +145,11 @@ impl DeviationRecord {
 /// where the wall time went, how hard the solver worked, and what each
 /// worker thread did.
 ///
-/// This is a *view* over the observability layer: wall durations come from
-/// the stage spans the pipeline opens, worker-summed durations from the
-/// `stage.*.ns` timer metrics, and `solver_queries` from per-instruction
-/// exploration results. Because the metrics registry is process-global,
-/// worker-summed stage times include any pipeline run executing
-/// concurrently in the same process (runs are normally sequential).
+/// This is a *view* over the stage spans: stage wall times are the ones the
+/// run's stage spans measured, and the worker-summed durations add up what
+/// each item's own `stage.*` spans measured, as `solver_queries` adds up
+/// its exploration results. Nothing is read back from process-global state,
+/// so runs executing concurrently in one process do not see each other.
 #[derive(Debug, Default, Clone)]
 pub struct StageStats {
     /// Wall time of instruction-set exploration (Fig. 1 step 1).
@@ -261,6 +262,8 @@ pub struct InsnGeneration {
     pub unknown_queries: u64,
     /// Replayed paths whose condition was unsatisfiable at the end.
     pub infeasible_paths: usize,
+    /// Wall time of state-space exploration plus test generation.
+    pub wall: Duration,
 }
 
 /// Generates the test programs for one instruction representative.
@@ -278,36 +281,29 @@ pub fn generate_for_instruction(
         "stage.explore_states",
         || vec![("insn", name.to_owned())],
         || {
-            prof::framed("stage.explore_states", || {
-                explore_state_space(
-                    insn,
-                    baseline,
-                    StateSpaceConfig {
-                        max_paths,
-                        deadline,
-                        ..StateSpaceConfig::default()
-                    },
-                )
-            })
+            explore_state_space(
+                insn,
+                baseline,
+                StateSpaceConfig {
+                    max_paths,
+                    deadline,
+                    ..StateSpaceConfig::default()
+                },
+            )
         },
     );
-    metrics::timer("stage.explore_states.ns").add(explore_d);
     let (programs, testgen_d) = trace::timed_with(
         "stage.testgen",
         || vec![("insn", name.to_owned())],
-        || {
-            prof::framed("stage.testgen", || {
-                pokemu_explore::to_test_programs(&space, name)
-            })
-        },
+        || pokemu_explore::to_test_programs(&space, name),
     );
-    metrics::timer("stage.testgen.ns").add(testgen_d);
     InsnGeneration {
         programs,
         complete: space.complete,
         solver_queries: space.solver_queries,
         unknown_queries: space.unknown_queries,
         infeasible_paths: space.infeasible_paths,
+        wall: explore_d + testgen_d,
     }
 }
 
@@ -318,6 +314,10 @@ struct ItemOutcome {
     solver_queries: u64,
     unknown_queries: u64,
     infeasible_paths: usize,
+    /// What its `stage.explore_states` + `stage.testgen` spans measured.
+    generate: Duration,
+    /// What its `stage.execute` span measured.
+    execute: Duration,
     /// `(instruction bytes, path id, outcome)` per test program.
     cases: Vec<(Vec<u8>, u64, CaseOutcome)>,
 }
@@ -332,7 +332,7 @@ pub(crate) fn hex(bytes: &[u8]) -> String {
 /// `target/trace/<run>.hot.jsonl`, one `{"kind":"hot_tb",...}` object per
 /// line in descending-execution order.
 fn dump_hot_tbs(run: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = pokemu_rt::bench::target_dir().join("trace");
+    let dir = trace::trace_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{run}.hot.jsonl"));
     let mut body = String::new();
@@ -370,19 +370,14 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
         Default::default()
     };
     let run_span = pokemu_rt::span!("pipeline.run");
-    let run_frame = prof::frame("pipeline.run");
-    let (baseline, setup_wall) = trace::timed("pipeline.setup", || {
-        prof::framed("pipeline.setup", baseline_snapshot)
-    });
+    let (baseline, _) = trace::timed("pipeline.setup", baseline_snapshot);
 
     // Step 1: instruction-set exploration (Fig. 1 (1)).
     let (insn_space, explore_insns) = trace::timed("stage.explore_insns", || {
-        prof::framed("stage.explore_insns", || {
-            explore_instruction_space(InsnSpaceConfig {
-                first_byte: config.first_byte,
-                second_byte: config.second_byte,
-                ..InsnSpaceConfig::default()
-            })
+        explore_instruction_space(InsnSpaceConfig {
+            first_byte: config.first_byte,
+            second_byte: config.second_byte,
+            ..InsnSpaceConfig::default()
         })
     });
     let mut reps = insn_space.classes;
@@ -396,23 +391,21 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
 
     // Steps 2-4, parallel over instructions. Each worker writes its result
     // into the slot for its item index — no result lock, no post-hoc sort:
-    // slot order *is* the deterministic analysis order. Stage timing flows
-    // through the `stage.*` spans and timer metrics recorded per item.
+    // slot order *is* the deterministic analysis order, and each slot
+    // carries what its item's stage spans measured.
     // A slot can legitimately stay empty: its item panicked (quarantined
     // by the pool) or was never dispatched (run deadline).
     let run_deadline = config.run_deadline.map(|d| run_start + d);
     let results: Vec<OnceLock<ItemOutcome>> = (0..reps.len()).map(|_| OnceLock::new()).collect();
+    // This thread's span covers dispatch + wait; each spawned worker's
+    // per-item spans start their own stacks and are merged when the pool
+    // flushes them. A single worker is this thread, so its spans nest under
+    // this one.
     let (pool_run, parallel_wall) = trace::timed("stage.parallel", || {
-        // The main thread's frame covers dispatch + wait; each spawned
-        // worker's per-item frames start their own stacks and are merged
-        // when the pool flushes them. A single worker is this thread, so
-        // its frames nest under this one.
-        let _pf = prof::frame("stage.parallel");
         pool::for_each_budgeted(config.threads, reps.len(), run_deadline, |i| {
             let rep = &reps[i];
             let name = rep.class.to_string();
             let _insn_span = pokemu_rt::span!("pipeline.instruction", insn = name);
-            let _insn_frame = prof::frame("pipeline.instruction");
             flight::note("pipeline.instruction", || {
                 format!("{name} ({})", hex(&rep.bytes))
             });
@@ -433,11 +426,10 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                 config.max_paths_per_insn,
                 insn_deadline,
             );
-            let (cases, execute_d) = trace::timed_with(
+            let (cases, execute) = trace::timed_with(
                 "stage.execute",
                 || vec![("insn", name.clone())],
                 || {
-                    let _ef = prof::frame("stage.execute");
                     gen.programs
                         .iter()
                         .map(|p| {
@@ -447,7 +439,6 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                         .collect::<Vec<_>>()
                 },
             );
-            metrics::timer("stage.execute.ns").add(execute_d);
             let slot_was_empty = results[i]
                 .set(ItemOutcome {
                     complete: gen.complete,
@@ -455,6 +446,8 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                     solver_queries: gen.solver_queries,
                     unknown_queries: gen.unknown_queries,
                     infeasible_paths: gen.infeasible_paths,
+                    generate: gen.wall,
+                    execute,
                     cases,
                 })
                 .is_ok();
@@ -473,9 +466,7 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     // Step 5: sequential difference analysis, in item order (instruction
     // classes are sorted by exploration), so counters and clusters are
     // deterministic regardless of worker scheduling.
-    let (solver_queries, analyze) = trace::timed("stage.analyze", || {
-        let _af = prof::frame("stage.analyze");
-        let mut solver_queries = 0u64;
+    let ((), analyze) = trace::timed("stage.analyze", || {
         for slot in results {
             // Quarantined or skipped items have no outcome; their absence
             // is already accounted in `quarantined`/`skipped_instructions`.
@@ -488,9 +479,13 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                 solver_queries: queries,
                 unknown_queries,
                 infeasible_paths,
+                generate,
+                execute,
                 cases,
             } = item;
-            solver_queries += queries;
+            out.stages.solver_queries += queries;
+            out.stages.generate += generate;
+            out.stages.execute += execute;
             out.unknown_queries += unknown_queries;
             out.infeasible_paths += infeasible_paths;
             if complete {
@@ -512,42 +507,24 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                 }
             }
         }
-        solver_queries
     });
     drop(run_span);
-    drop(run_frame);
-
-    // Pipeline-level wall timers: the attribution table `pokemu-report
-    // perf` checks against (setup + explore_insns + parallel + analyze
-    // must cover ≥95% of total). Timer metrics are nondeterministic by
-    // contract, so they are only fed when a timing consumer is active.
-    if prof::timing_enabled() {
-        metrics::timer("pipeline.ns.setup").add(setup_wall);
-        metrics::timer("pipeline.ns.explore_insns").add(explore_insns);
-        metrics::timer("pipeline.ns.parallel").add(parallel_wall);
-        metrics::timer("pipeline.ns.analyze").add(analyze);
-        metrics::timer("pipeline.ns.total").add(run_start.elapsed());
-    }
 
     let delta = metrics::snapshot().since(&metrics_start);
     out.stages = StageStats {
         explore_insns,
-        generate: Duration::from_nanos(
-            delta.timer_ns("stage.explore_states.ns") + delta.timer_ns("stage.testgen.ns"),
-        ),
-        execute: Duration::from_nanos(delta.timer_ns("stage.execute.ns")),
         analyze,
         parallel_wall,
         total_wall: run_start.elapsed(),
-        solver_queries,
         workers: pool_run.workers,
+        ..out.stages
     };
 
     // Under POKEMU_TRACE=1, every finished run leaves an openable trace
-    // behind (overwritten per run, like the bench JSON files), plus the
-    // hot-TB table `pokemu-report perf` folds into its attribution view.
+    // and its own metrics delta behind (overwritten per run, like the bench
+    // JSON files), plus the hot-TB table `pokemu-report perf` prints.
     if trace::env_enabled() {
-        match trace::export("cross_validation") {
+        match trace::export("cross_validation", &delta) {
             Ok(paths) => eprintln!("[trace] exported {}", paths.trace_json.display()),
             Err(e) => eprintln!("[trace] export failed: {e}"),
         }
@@ -557,7 +534,7 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
         }
     }
     // Under POKEMU_PROF=1, the collapsed-stack profile lands beside it.
-    if prof::env_enabled() {
+    if trace::profile_env_enabled() {
         match prof::export("cross_validation") {
             Ok(path) => eprintln!("[prof] exported {}", path.display()),
             Err(e) => eprintln!("[prof] export failed: {e}"),

@@ -11,7 +11,6 @@
 //! reaches (DESIGN.md §3). Other programs boot from scratch.
 
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use pokemu_hifi::HiFi;
 use pokemu_hwref::{TrapReason, Vmm};
@@ -42,37 +41,19 @@ pub trait Target {
 }
 
 /// Bills one target execution: a deterministic run counter
-/// (`target.<name>.runs`) plus, when timing is on, wall time in
-/// `target.<name>.ns`. The per-run mean `ns / runs` is what
-/// `pokemu-report perf` turns into the lofi/hifi throughput ratio — the
-/// direct observable for the e3 inversion (DBT slower than the
-/// interpreter on short programs).
+/// (`target.<name>.runs`) plus a `target.<name>` span. `pokemu-report perf`
+/// turns the run's spans into the lofi/hifi throughput ratio — the direct
+/// observable for the e3 inversion (DBT slower than the interpreter on
+/// short programs).
 fn billed<F: FnOnce() -> Snapshot>(name: &'static str, run: F) -> Snapshot {
-    let (runs, ns, frame) = match name {
-        "hifi" => (
-            metrics::counter("target.hifi.runs"),
-            metrics::timer("target.hifi.ns"),
-            "target.hifi",
-        ),
-        "lofi" => (
-            metrics::counter("target.lofi.runs"),
-            metrics::timer("target.lofi.ns"),
-            "target.lofi",
-        ),
-        _ => (
-            metrics::counter("target.hardware.runs"),
-            metrics::timer("target.hardware.ns"),
-            "target.hardware",
-        ),
+    let (runs, span) = match name {
+        "hifi" => ("target.hifi.runs", "target.hifi"),
+        "lofi" => ("target.lofi.runs", "target.lofi"),
+        _ => ("target.hardware.runs", "target.hardware"),
     };
-    runs.inc();
-    let _f = pokemu_rt::prof::frame(frame);
-    let t = pokemu_rt::prof::timing_enabled().then(Instant::now);
-    let snap = run();
-    if let Some(t) = t {
-        ns.add(t.elapsed());
-    }
-    snap
+    metrics::counter(runs).inc();
+    let _span = pokemu_rt::span!(span);
+    run()
 }
 
 /// What booting and forking need of an emulator.

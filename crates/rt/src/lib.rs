@@ -9,20 +9,17 @@
 //! | `crossbeam` (scoped threads) | [`pool`]: `std::thread::scope` work queue with per-worker stats |
 //! | `proptest` | [`prop`]: the [`prop!`] macro — N cases, PRNG generators, shrink-by-halving, `POKEMU_PROP_SEED` replay |
 //! | `criterion` | [`bench`]: warm-up + K timed samples, median/p95, JSON lines in `target/bench/` |
-//! | `tracing` + `metrics` + `serde_json` | [`trace`]: structured spans with Chrome `trace_event` export; [`metrics`]: counters / timers / log-scale histograms with snapshot-diff; [`json`]: the matching zero-dep JSON reader |
+//! | `tracing` + `metrics` + `serde_json` | [`trace`]: scoped spans with two sinks, Chrome `trace_event` events and a folded `.folded` profile for flamegraph tooling ([`prof`] holds the folded table and its export); [`metrics`]: counters / timers / log-scale histograms with snapshot-diff; [`json`]: the matching zero-dep JSON reader |
 //!
-//! On top of the replacements, two observability primitives with no
-//! external equivalent in the old dependency set: [`coverage`] (fixed-size
-//! atomic bitmaps recording opcode / path / µop / exception-class coverage,
+//! On top of the replacements, observability primitives with no external
+//! equivalent in the old dependency set: [`coverage`] (fixed-size atomic
+//! bitmaps recording opcode / path / µop / exception-class coverage,
 //! snapshot-diffable and JSONL-exportable for the run manifest and the CI
 //! coverage gate), [`flight`] (a per-thread ring buffer of recent events,
-//! dumped post-hoc on panic or cross-validation deviation), and [`fault`]
+//! dumped post-hoc on panic or cross-validation deviation), [`fault`]
 //! (named deterministic fault-injection points, armed via `POKEMU_FAULT`,
-//! that chaos-test the quarantine and budget layers), and [`prof`] (an
-//! instrumenting self-profiler: per-thread scoped frames aggregated by
-//! stack path, exported as collapsed-stack `.folded` files for flamegraph
-//! tooling, one relaxed load per site when `POKEMU_PROF` is off), and
-//! [`history`] (an append-only, content-hashed cross-run ledger under
+//! that chaos-test the quarantine and budget layers), and [`history`] (an
+//! append-only, content-hashed cross-run ledger under
 //! `target/history/` — the substrate for `pokemu-report compare`, `trend`,
 //! and the CI trend gate).
 //!
@@ -52,7 +49,7 @@ pub use flight::FlightEvent;
 pub use history::RunRecord;
 pub use metrics::{Counter, Histogram, MetricsSnapshot, Timer};
 pub use pool::{for_each, PoolRun, QuarantineRecord, WorkerStats};
-pub use prof::{FrameGuard, FrameStat};
+pub use prof::FrameStat;
 pub use prop::Gen;
 pub use rng::{mix64, Rng, SplitMix64};
 pub use trace::{SpanEvent, SpanGuard, TracePaths};

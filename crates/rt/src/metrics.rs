@@ -8,7 +8,7 @@
 //!   programs). They are pure functions of the work performed, so their
 //!   values must be byte-identical across thread counts and runs — the
 //!   deterministic-replay test asserts exactly that on a snapshot diff.
-//! * **Timers** accumulate *nanoseconds* (per-stage worker time). They are
+//! * **Timers** accumulate *nanoseconds* (per-origin solver time). They are
 //!   inherently nondeterministic and are therefore kept in a separate
 //!   namespace that golden comparisons exclude.
 //! * **Histograms** record value *distributions* (paths per instruction,

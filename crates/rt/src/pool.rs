@@ -67,8 +67,6 @@ pub struct QuarantineRecord {
 pub struct PoolRun {
     /// Per-worker statistics, indexed by worker id.
     pub workers: Vec<WorkerStats>,
-    /// Wall time of the whole run (spawn to last join).
-    pub wall: Duration,
     /// Items that panicked, in item order (deterministic regardless of
     /// which worker hit them). Empty on a healthy run.
     pub quarantined: Vec<QuarantineRecord>,
@@ -82,12 +80,6 @@ impl PoolRun {
     /// Total items processed successfully across all workers.
     pub fn items(&self) -> usize {
         self.workers.iter().map(|w| w.items).sum()
-    }
-
-    /// Total busy time summed over workers (CPU-time-like; exceeds `wall`
-    /// when the run actually parallelized).
-    pub fn busy(&self) -> Duration {
-        self.workers.iter().map(|w| w.busy).sum()
     }
 }
 
@@ -133,25 +125,19 @@ pub fn for_each(threads: usize, items: usize, f: impl Fn(usize) + Sync) -> PoolR
 /// The pool never spawns a worker that cannot receive an item: the thread
 /// count is clamped to the item count, and zero items spawn zero workers —
 /// so [`PoolRun::workers`] reports live workers only, never idle padding.
-/// A single worker is the calling thread itself, so its spans and frames
-/// nest under the caller's. Each worker drains its trace buffer
-/// ([`crate::trace::flush_thread`]) and merges its profiler aggregate
-/// ([`crate::prof::flush_thread`]) when the queue is done, so spans and
-/// frames recorded inside `f` are visible to a subsequent export without
-/// further coordination.
+/// A single worker is the calling thread itself, so its spans nest under
+/// the caller's. Each worker flushes its span recorder
+/// ([`crate::trace::flush_thread`]) when the queue is done, so the events
+/// and profile recorded inside `f` are visible to a subsequent export
+/// without further coordination.
 pub fn for_each_budgeted(
     threads: usize,
     items: usize,
     deadline: Option<Instant>,
     f: impl Fn(usize) + Sync,
 ) -> PoolRun {
-    let started = Instant::now();
     if items == 0 {
-        return PoolRun {
-            workers: Vec::new(),
-            wall: started.elapsed(),
-            ..PoolRun::default()
-        };
+        return PoolRun::default();
     }
     let threads = threads.max(1).min(items);
     let next = AtomicUsize::new(0);
@@ -159,7 +145,7 @@ pub fn for_each_budgeted(
     let quarantine: Mutex<Vec<QuarantineRecord>> = Mutex::new(Vec::new());
     let attempted = AtomicUsize::new(0);
     // One worker: claim items until the queue drains or the deadline
-    // passes, then flush this thread's spans and frames.
+    // passes, then flush this thread's spans.
     let work = |worker: usize| {
         let mut stats = WorkerStats {
             worker,
@@ -205,7 +191,6 @@ pub fn for_each_budgeted(
             }
         }
         crate::trace::flush_thread();
-        crate::prof::flush_thread();
         stats
     };
     let mut workers = Vec::with_capacity(threads);
@@ -254,7 +239,6 @@ pub fn for_each_budgeted(
     let skipped = items - attempted.load(Ordering::Relaxed);
     PoolRun {
         workers,
-        wall: started.elapsed(),
         quarantined,
         skipped,
         deadline_hit: deadline_hit.load(Ordering::Relaxed),

@@ -1,230 +1,78 @@
-//! Instrumenting self-profiler: per-thread scoped frames with wall-time
-//! attribution per call-site and collapsed-stack export.
+//! The profile sink's store: the folded table that [`crate::trace`]'s
+//! recorder fills, and its collapsed-stack export.
 //!
-//! Where [`crate::trace`] records *individual* span events for timeline
-//! visualization (every event is kept, bounded by the ring), `prof`
-//! *aggregates in place*: each thread keeps a stack of open frames and a
-//! map from the current stack path (`root;child;leaf`) to accumulated call
-//! counts, total time, and **self time** (total minus time spent in child
-//! frames). The aggregate is merged into a process-global table when a
-//! thread flushes, and [`export`] writes the table as a collapsed-stack
-//! `.folded` file under `target/prof/` — the format `inferno`,
-//! speedscope, and `flamegraph.pl` all consume (one line per stack:
-//! `frame;frame;frame <self-µs>`).
+//! This module keeps no stack and opens no scopes. With the profile on
+//! (`POKEMU_PROF=1` or [`crate::trace::set_profiling`]), every closing
+//! [`span!`](crate::span) or [`crate::trace::timed`] scope folds its calls,
+//! total time and **self time** (total minus the time in profiled child
+//! scopes) into its thread's table under the scope's `a;b;c` stack path.
+//! Thread tables merge into the process-global table here when the thread
+//! flushes ([`crate::trace::flush_thread`]; pool workers flush on exit), and
+//! [`export`] writes the merged table as a `.folded` file under
+//! `target/prof/` — the format `inferno`, speedscope and `flamegraph.pl`
+//! all consume (one line per stack: `frame;frame;frame <self-µs>`).
 //!
-//! Design constraints, matching the rest of the observability layer:
-//!
-//! * **Off by default, one relaxed load per disabled site.** Enable with
-//!   `POKEMU_PROF=1` or [`set_enabled`]. With profiling off, [`frame`]
-//!   returns `None` after a single relaxed atomic load, so PR-1's
-//!   deterministic-replay guarantees are untouched: profiling never feeds
-//!   back into counter metrics or exploration decisions.
-//! * **No locks on the hot path.** Frames aggregate into a thread-local
-//!   `BTreeMap`; the global table is only touched by [`flush_thread`]
-//!   (pool workers flush on exit, like the trace layer) and [`export`].
-//! * **Wall time only.** Self-time is wall-clock nanoseconds; the folded
-//!   export rounds to microseconds because that is what flamegraph
-//!   tooling expects as integer sample counts.
+//! Self time is wall-clock nanoseconds; the export rounds it to
+//! microseconds because that is what flamegraph tooling expects as integer
+//! sample counts.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::Mutex;
 
-/// Environment variable that turns frame recording on (any non-empty value
-/// other than `0`) and makes the pipeline export a `.folded` profile when
-/// it finishes.
-pub const PROF_ENV: &str = "POKEMU_PROF";
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_CHECKED: OnceLock<bool> = OnceLock::new();
-
-/// `true` when `POKEMU_PROF` was set in the environment at first check.
-pub fn env_enabled() -> bool {
-    *ENV_CHECKED.get_or_init(|| {
-        std::env::var(PROF_ENV)
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Whether frame recording is currently on. One relaxed load — this is the
-/// per-site cost when profiling is disabled.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) || env_enabled()
-}
-
-/// Turns frame recording on or off process-wide. The environment variable
-/// [`PROF_ENV`] wins over `set_enabled(false)`.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether *any* wall-time attribution consumer is active: the profiler
-/// itself or the trace layer. Instrumentation that samples `Instant::now`
-/// outside a frame/span guard (per-origin solver timers, the symx time
-/// split) gates on this so a plain counters-only run pays no timestamp
-/// syscalls, while either `POKEMU_PROF=1` or `POKEMU_TRACE=1` lights up
-/// the full latency attribution.
-#[inline]
-pub fn timing_enabled() -> bool {
-    enabled() || crate::trace::enabled()
-}
-
-/// Accumulated statistics for one stack path.
+/// What the profile accumulated for one stack path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStat {
-    /// Number of times this exact stack path was entered.
+    /// Number of times a scope closed on this exact stack path.
     pub calls: u64,
-    /// Total wall nanoseconds with this path on top of the stack,
-    /// including time spent in child frames.
+    /// Total wall nanoseconds of those scopes, children included.
     pub total_ns: u64,
-    /// Wall nanoseconds attributed to this path itself (total minus
-    /// children) — the collapsed-stack "sample count".
+    /// Wall nanoseconds not spent in profiled child scopes — the
+    /// collapsed-stack "sample count".
     pub self_ns: u64,
 }
 
-struct OpenFrame {
-    start: Instant,
-    child_ns: u64,
-    /// Length of the thread's path string before this frame was pushed;
-    /// popping truncates back to it.
-    path_len: usize,
-}
-
-#[derive(Default)]
-struct ThreadProf {
-    /// The current stack as a `;`-joined path, maintained incrementally so
-    /// aggregation never re-joins frame names.
-    path: String,
-    stack: Vec<OpenFrame>,
-    agg: BTreeMap<String, FrameStat>,
-}
-
-thread_local! {
-    static THREAD: RefCell<ThreadProf> = RefCell::new(ThreadProf::default());
-}
-
-fn global() -> &'static Mutex<BTreeMap<String, FrameStat>> {
-    static GLOBAL: OnceLock<Mutex<BTreeMap<String, FrameStat>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// RAII guard for one profiler frame: attributes wall time to the current
-/// stack path when dropped.
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately records a zero-length frame"]
-pub struct FrameGuard {
-    _priv: (),
-}
-
-/// Opens a frame named `name` on the current thread's profiler stack;
-/// `None` when profiling is disabled (one relaxed load).
-#[inline]
-pub fn frame(name: &'static str) -> Option<FrameGuard> {
-    if !enabled() {
-        return None;
-    }
-    THREAD.with(|t| {
-        let mut t = t.borrow_mut();
-        let path_len = t.path.len();
-        if path_len > 0 {
-            t.path.push(';');
-        }
-        t.path.push_str(name);
-        t.stack.push(OpenFrame {
-            start: Instant::now(),
-            child_ns: 0,
-            path_len,
-        });
-    });
-    Some(FrameGuard { _priv: () })
-}
-
-impl Drop for FrameGuard {
-    fn drop(&mut self) {
-        THREAD.with(|t| {
-            let mut t = t.borrow_mut();
-            let Some(frame) = t.stack.pop() else {
-                return; // flushed mid-frame; nothing sensible to record
-            };
-            let total_ns = frame.start.elapsed().as_nanos() as u64;
-            let self_ns = total_ns.saturating_sub(frame.child_ns);
-            let path = t.path.clone();
-            let stat = t.agg.entry(path).or_default();
-            stat.calls += 1;
-            stat.total_ns += total_ns;
-            stat.self_ns += self_ns;
-            t.path.truncate(frame.path_len);
-            if let Some(parent) = t.stack.last_mut() {
-                parent.child_ns += total_ns;
-            }
-        });
+impl FrameStat {
+    pub(crate) fn add(&mut self, other: FrameStat) {
+        self.calls += other.calls;
+        self.total_ns += other.total_ns;
+        self.self_ns += other.self_ns;
     }
 }
 
-/// Runs `f` under a frame named `name`. Sugar for a [`frame`] guard around
-/// a closure; the disabled cost is the same single relaxed load.
-pub fn framed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let _g = frame(name);
-    f()
+static TABLE: Mutex<BTreeMap<String, FrameStat>> = Mutex::new(BTreeMap::new());
+
+/// Merges a thread's folded table into the global one, emptying it.
+pub(crate) fn merge(local: &mut BTreeMap<String, FrameStat>) {
+    if local.is_empty() {
+        return;
+    }
+    let mut g = TABLE.lock().unwrap_or_else(|e| e.into_inner());
+    for (path, stat) in std::mem::take(local) {
+        g.entry(path).or_default().add(stat);
+    }
 }
 
-/// Merges the current thread's aggregate into the process-global table
-/// (blocking). Pool workers call this as they exit, mirroring
-/// [`crate::trace::flush_thread`]; call it manually on long-lived threads
-/// before [`export`] or [`take`].
-pub fn flush_thread() {
-    THREAD.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.agg.is_empty() {
-            return;
-        }
-        let agg = std::mem::take(&mut t.agg);
-        let mut g = global().lock().unwrap_or_else(|e| e.into_inner());
-        for (path, stat) in agg {
-            let slot = g.entry(path).or_default();
-            slot.calls += stat.calls;
-            slot.total_ns += stat.total_ns;
-            slot.self_ns += stat.self_ns;
-        }
-    });
-}
-
-/// Flushes the current thread and takes the merged table collected so far,
-/// leaving the global table empty.
+/// Flushes the current thread and takes the merged profile collected so
+/// far, leaving the global table empty.
 pub fn take() -> BTreeMap<String, FrameStat> {
-    flush_thread();
-    std::mem::take(&mut *global().lock().unwrap_or_else(|e| e.into_inner()))
+    crate::trace::flush_thread();
+    std::mem::take(&mut *TABLE.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
-/// The directory profile exports land in: `target/prof/` next to the other
-/// build artifacts (honors `CARGO_TARGET_DIR`).
-pub fn prof_dir() -> PathBuf {
-    crate::bench::target_dir().join("prof")
-}
-
-/// Renders a merged table in collapsed-stack format: one line per stack
-/// path, `frame;frame;frame <self-µs>`, sorted by path (BTreeMap order) so
-/// the output is stable for a given set of measurements. Paths whose
-/// self-time rounds to zero microseconds are kept with count 0 so the call
-/// structure stays visible.
-pub fn render_folded(table: &BTreeMap<String, FrameStat>) -> String {
+/// Renders a profile in collapsed-stack format: one line per stack path,
+/// `frame;frame;frame <self-µs>`, sorted by path. Paths whose self time
+/// rounds to zero microseconds are kept with count 0 so the call structure
+/// stays visible.
+fn render_folded(table: &BTreeMap<String, FrameStat>) -> String {
     let mut out = String::new();
     for (path, stat) in table {
-        out.push_str(path);
-        out.push(' ');
-        out.push_str(&(stat.self_ns / 1_000).to_string());
-        out.push('\n');
+        out.push_str(&format!("{path} {}\n", stat.self_ns / 1_000));
     }
     out
 }
 
-/// Drains the merged profile and writes it to `target/prof/<run>.folded`
+/// Takes the merged profile and writes it to `target/prof/<run>.folded`
 /// (collapsed-stack format — feed it to `inferno-flamegraph`, speedscope,
 /// or `flamegraph.pl`). Returns the path written.
 ///
@@ -233,59 +81,54 @@ pub fn render_folded(table: &BTreeMap<String, FrameStat>) -> String {
 /// Propagates filesystem errors creating or writing the output file.
 pub fn export(run: &str) -> std::io::Result<PathBuf> {
     let table = take();
-    let dir = prof_dir();
+    let dir = crate::bench::target_dir().join("prof");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{run}.folded"));
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    f.write_all(render_folded(&table).as_bytes())?;
-    f.flush()?;
+    std::fs::write(&path, render_folded(&table))?;
     Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
+    use crate::trace::tests::{serialize, with_sinks};
+    use crate::trace::{active, profile_env_enabled, timed};
     use std::time::Duration;
 
-    /// Profiling is process-global state; tests serialize on this lock.
-    fn serialize() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
+    /// With the profile off no frame is folded: `span!` returns `None`
+    /// when events are off too, and an events-only span leaves the table
+    /// without its path.
     #[test]
     fn disabled_frame_returns_none() {
         let _g = serialize();
-        set_enabled(false);
-        if env_enabled() {
+        if profile_env_enabled() {
             return; // cannot observe the disabled path under POKEMU_PROF=1
         }
-        assert!(frame("test.disabled").is_none());
+        with_sinks(false, false, || {
+            if !active() {
+                assert!(crate::span!("test.disabled").is_none());
+            }
+        });
+        with_sinks(true, false, || {
+            let _s = crate::span!("test.disabled");
+        });
+        assert!(
+            !take().keys().any(|p| p.contains("test.disabled")),
+            "a span opened with the profile off folds nothing"
+        );
     }
 
     #[test]
     fn frames_aggregate_under_their_stack_path() {
         let _g = serialize();
-        set_enabled(true);
-        take(); // reset
-        std::thread::spawn(|| {
-            set_enabled(true);
-            {
-                let _outer = frame("outer");
-                std::thread::sleep(Duration::from_millis(4));
-                for _ in 0..2 {
-                    let _inner = frame("inner");
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+        with_sinks(false, true, || {
+            let _outer = crate::span!("outer");
+            std::thread::sleep(Duration::from_millis(4));
+            for _ in 0..2 {
+                let _inner = crate::span!("inner");
+                std::thread::sleep(Duration::from_millis(2));
             }
-            flush_thread();
-        })
-        .join()
-        .unwrap();
-        set_enabled(false);
+        });
         let table = take();
         let outer = table["outer"];
         let inner = table["outer;inner"];
@@ -295,12 +138,10 @@ mod tests {
             inner.total_ns >= 4_000_000,
             "inner total covers both sleeps"
         );
-        assert!(
-            outer.total_ns >= outer.self_ns + inner.total_ns,
-            "outer self excludes child time: total={} self={} child={}",
+        assert_eq!(
             outer.total_ns,
-            outer.self_ns,
-            inner.total_ns
+            outer.self_ns + inner.total_ns,
+            "outer self excludes exactly its child time"
         );
         assert!(
             outer.self_ns >= 4_000_000,
@@ -312,24 +153,15 @@ mod tests {
     #[test]
     fn folded_export_is_sorted_and_parseable() {
         let _g = serialize();
-        set_enabled(true);
-        take();
-        std::thread::spawn(|| {
-            set_enabled(true);
+        with_sinks(false, true, || {
+            let _a = crate::span!("pipeline");
             {
-                let _a = frame("pipeline");
-                {
-                    let _b = frame("stage_b");
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                let _c = frame("stage_a");
+                let _b = crate::span!("stage_b");
                 std::thread::sleep(Duration::from_millis(2));
             }
-            flush_thread();
-        })
-        .join()
-        .unwrap();
-        set_enabled(false);
+            let _c = crate::span!("stage_a");
+            std::thread::sleep(Duration::from_millis(2));
+        });
         let path = export("rt-prof-selftest").expect("export succeeds");
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -348,10 +180,16 @@ mod tests {
         assert!(paths.iter().any(|p| p == "pipeline;stage_b"));
     }
 
+    /// `trace::timed` runs its closure and hands back the result with both
+    /// sinks off, folding nothing.
     #[test]
     fn framed_runs_the_closure_when_disabled() {
         let _g = serialize();
-        set_enabled(false);
-        assert_eq!(framed("test.closure", || 41 + 1), 42);
+        with_sinks(false, false, || {
+            assert_eq!(timed("test.closure", || 41 + 1).0, 42);
+        });
+        if !profile_env_enabled() {
+            assert!(!take().contains_key("test.closure"));
+        }
     }
 }

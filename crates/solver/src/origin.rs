@@ -18,7 +18,8 @@
 //!
 //! The billing itself is deterministic (counters keyed by a fixed label
 //! set); per-origin *latency* lands in the nondeterministic timer
-//! namespace, gated on `pokemu_rt::prof::timing_enabled()`.
+//! namespace, measured by the `solver.check` span and so recorded only
+//! while a span sink is on (`pokemu_rt::trace::active()`).
 
 use std::cell::{Cell, RefCell};
 

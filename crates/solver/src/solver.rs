@@ -227,13 +227,11 @@ impl BvSolver {
     ///
     /// Panics if an assumption term does not have width 1.
     pub fn check(&mut self, pool: &TermPool, assumptions: &[TermId]) -> SatResult {
-        // Latency is only sampled while profiling or tracing is on: the
-        // extra clock reads are pure overhead otherwise. Sampling starts
-        // *before* fault injection so an armed latency fault shows up in
-        // the attribution (that visibility is what the bench-gate self-test
-        // relies on).
-        let t = pokemu_rt::prof::timing_enabled().then(Instant::now);
-        let _f = pokemu_rt::prof::frame("solver.check");
+        // Latency is only sampled while a span sink is on: the clock reads
+        // are pure overhead otherwise. The span opens *before* fault
+        // injection so an armed latency fault shows up in the attribution
+        // (that visibility is what the bench-gate self-test relies on).
+        let span = pokemu_rt::span!("solver.check");
         let query_origin = origin::current();
         let (origin_queries, origin_ns) = origin::handles(query_origin);
         self.stats.queries += 1;
@@ -260,8 +258,8 @@ impl BvSolver {
                         origin::current_path_id()
                     )
                 });
-                if let Some(t) = t {
-                    let el = t.elapsed();
+                if let Some(span) = span {
+                    let el = span.finish();
                     self.metrics.query_ns.record_duration(el);
                     origin_ns.add(el);
                 }
@@ -274,8 +272,8 @@ impl BvSolver {
             .collect();
         let budget_ref = budget.is_bounded().then_some(&budget);
         let r = self.blaster.sat().solve_budgeted(&lits, budget_ref);
-        if let Some(t) = t {
-            let el = t.elapsed();
+        if let Some(span) = span {
+            let el = span.finish();
             self.metrics.query_ns.record_duration(el);
             origin_ns.add(el);
             if el >= SLOW_QUERY_NOTE {

@@ -164,7 +164,7 @@ pub struct Executor {
 }
 
 /// Accumulates wall time into a timer on drop; inert (no clock reads) when
-/// neither profiling nor tracing wants latency attribution.
+/// both span sinks are off.
 struct TimeGuard {
     start: Option<Instant>,
     timer: metrics::Timer,
@@ -180,7 +180,7 @@ impl Drop for TimeGuard {
 
 fn timed(timer: metrics::Timer) -> TimeGuard {
     TimeGuard {
-        start: pokemu_rt::prof::timing_enabled().then(Instant::now),
+        start: pokemu_rt::trace::active().then(Instant::now),
         timer,
     }
 }
@@ -401,7 +401,7 @@ impl Executor {
             "explore is not reentrant; use summarize for nested runs"
         );
         self.exploring = true;
-        let _f = pokemu_rt::prof::frame("symx.explore");
+        let _span = pokemu_rt::span!("symx.explore");
         self.tree = DecisionTree::new();
         self.pick_cache.clear();
         let mut paths = Vec::new();
@@ -516,7 +516,7 @@ impl Executor {
         inputs: &[(Width, &str)],
         mut f: impl FnMut(&mut Executor, &[TermId]) -> Vec<TermId>,
     ) -> Option<Summary> {
-        let _pf = pokemu_rt::prof::frame("symx.summarize");
+        let _span = pokemu_rt::span!("symx.summarize");
         let _t = timed(self.metrics.summary_ns);
         // Run on a scratch tree so the caller's exploration is untouched,
         // with a generous path budget independent of the caller's cap: the

@@ -26,24 +26,43 @@ cargo test --offline -q --manifest-path liftbench/Cargo.toml
 echo "== smoke bench (pokemu_rt::bench end to end)"
 cargo run --release --offline -p pokemu-bench --bin smoke-bench
 
-echo "== trace + prof smoke (pokemu_rt::{trace,prof} end to end)"
-# Re-run the smoke bench with tracing, profiling, and the run manifest on:
-# the pipeline exports a Chrome trace + metrics dump, a collapsed-stack
-# .folded profile, the hot-TB table, and target/run/smoke/manifest.json.
-# pokemu-report --check gates on the trace parsing, all five Fig.1 stage
-# spans being present, and zero dropped trace events; perf --check gates on
-# ≥95% of pipeline wall time being attributed to the four stage timers.
+echo "== trace + profile smoke (both pokemu_rt::trace sinks end to end)"
+# Re-run the smoke bench with span events, the folded profile, and the run
+# manifest on: the pipeline exports a Chrome trace + the run's metrics, a
+# collapsed-stack .folded profile, the hot-TB table, and
+# target/run/smoke/manifest.json. pokemu-report --check gates on the trace
+# parsing, all five Fig.1 stage spans being present, and zero dropped trace
+# events; perf --check gates on ≥95% of the pipeline.run span being
+# attributed to its four top-level stage spans.
 POKEMU_TRACE=1 POKEMU_PROF=1 POKEMU_RUN_MANIFEST=1 POKEMU_RUN_ID=smoke \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- --check --top 5
 test -s target/prof/cross_validation.folded \
     || { echo "ERROR: POKEMU_PROF=1 run left no .folded profile" >&2; exit 1; }
 
+echo "== trace export carries the run's metrics (vs the run manifest)"
+# Both files come from the one smoke run above and both counters are
+# deterministic, so they must agree: the export holds the run's delta, not
+# the whole process's (smoke-bench's warm-up loops run before the pipeline).
+for counter in target.lofi.runs solver.queries; do
+    pattern="${counter//./\\.}"
+    exported=$(grep -o "\"name\":\"$pattern\",\"value\":[0-9]*" \
+        target/trace/cross_validation.metrics.jsonl | grep -o '[0-9]*$' || true)
+    recorded=$(grep -o "\"$pattern\":[0-9]*" target/run/smoke/manifest.json \
+        | head -n 1 | grep -o '[0-9]*$' || true)
+    if [ -z "$exported" ] || [ "$exported" != "$recorded" ]; then
+        echo "ERROR: $counter is ${exported:-missing} in the trace export but" \
+            "${recorded:-missing} in the run manifest" >&2
+        exit 1
+    fi
+    echo "$counter: $exported in both"
+done
+
 echo "== perf attribution gate"
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- perf --check --top 5
 
 echo "== attribution below the top level (explore.state_space self time)"
-# Per-path exploration work sits in named frames (explore.mem_template,
+# Per-path exploration work sits in named spans (explore.mem_template,
 # explore.symbolic_machine, explore.clobbers, explore.minimize, symx.*,
 # solver.check). Fail if explore.state_space's own time is more than 15% of
 # the time of all the stacks that contain it, i.e. if exploration work has

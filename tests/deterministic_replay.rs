@@ -113,19 +113,21 @@ fn metrics_counters_are_byte_identical_across_thread_counts() {
     assert_eq!(one, eight, "1-thread vs 8-thread counter dumps differ");
 }
 
-/// The self-profiler must be a pure observer: running the identical
-/// pipeline with profiling off on 2 threads and profiling *on* on 8
-/// threads must produce byte-identical counter dumps. This extends the
-/// byte-identity contract to the performance-observatory counters — the
-/// per-origin solver billing, the lo-fi dispatch-loop attribution, and the
-/// per-target run counts all live in the deterministic counter namespace,
-/// while every wall-time sample the profiler takes lands in timers, which
-/// the contract excludes by construction.
+/// The span sinks must be pure observers: running the identical pipeline
+/// with both sinks off on 2 threads, with the profile on on 8 threads and
+/// with the profile and events on on 1 thread must produce byte-identical
+/// counter dumps. This extends the byte-identity contract to the
+/// performance-observatory counters — the per-origin solver billing, the
+/// lo-fi dispatch-loop attribution, and the per-target run counts all live
+/// in the deterministic counter namespace, while every wall-time sample
+/// the spans take lands in timers, which the contract excludes by
+/// construction.
 #[test]
 fn profiler_does_not_perturb_counter_determinism() {
     let _metrics = metrics_lock();
-    let run = |prof: bool, threads: usize| {
-        pokemu_rt::prof::set_enabled(prof);
+    let run = |prof: bool, events: bool, threads: usize| {
+        pokemu_rt::trace::set_profiling(prof);
+        pokemu_rt::trace::set_enabled(events);
         let before = pokemu_rt::metrics::snapshot();
         let cv = run_cross_validation(PipelineConfig {
             first_byte: Some(0x80),
@@ -133,7 +135,8 @@ fn profiler_does_not_perturb_counter_determinism() {
             threads,
             ..PipelineConfig::default()
         });
-        pokemu_rt::prof::set_enabled(false);
+        pokemu_rt::trace::set_profiling(false);
+        pokemu_rt::trace::set_enabled(false);
         assert!(cv.total_paths > 0);
         pokemu_rt::metrics::snapshot()
             .since(&before)
@@ -146,8 +149,9 @@ fn profiler_does_not_perturb_counter_determinism() {
                 acc
             })
     };
-    let off = run(false, 2);
-    let on = run(true, 8);
+    let off = run(false, false, 2);
+    let on = run(true, false, 8);
+    let both = run(true, true, 1);
     // The new attribution counters are part of the deterministic surface.
     for name in [
         "solver.queries.feasibility",
@@ -166,9 +170,41 @@ fn profiler_does_not_perturb_counter_determinism() {
         off, on,
         "profiling (or the thread count under it) changed a counter"
     );
-    // Drain the profile the 8-thread run accumulated so later prof tests
-    // in the process start clean.
+    assert_eq!(off, both, "span events (or one thread) changed a counter");
+    // Drop what the sinks collected so later tests in the process start
+    // clean.
     let _ = pokemu_rt::prof::take();
+    let _ = pokemu_rt::trace::drain();
+}
+
+/// `StageStats` covers its own run only: two runs executing at once on two
+/// threads each report worker-summed stage time within their own workers'
+/// busy time, however the runs overlap.
+#[test]
+fn concurrent_runs_report_only_their_own_stage_time() {
+    let _metrics = metrics_lock();
+    let config = PipelineConfig {
+        first_byte: Some(0x80),
+        max_paths_per_insn: 16,
+        threads: 2,
+        ..PipelineConfig::default()
+    };
+    let runs: Vec<_> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| s.spawn(move || run_cross_validation(config)))
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for cv in &runs {
+        let s = &cv.stages;
+        let busy: std::time::Duration = s.workers.iter().map(|w| w.busy).sum();
+        assert!(
+            s.generate + s.execute <= busy,
+            "generate {:?} + execute {:?} exceed the run's worker busy time {busy:?}",
+            s.generate,
+            s.execute
+        );
+    }
 }
 
 /// Coverage bitmaps and the manifest's deviation list obey the same

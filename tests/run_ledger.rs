@@ -11,7 +11,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use pokemu::harness::ledger::{build_record, hot_tb_delta};
 use pokemu::harness::{run_cross_validation, CrossValidation, PipelineConfig};
 use pokemu_rt::history::{self, RunRecord};
-use pokemu_rt::{fault, metrics, prof};
+use pokemu_rt::{fault, metrics, prof, trace};
 
 /// The metrics registry, coverage bitmaps, profiler, and fault plan are all
 /// process-global; tests that run the pipeline serialize on this lock so a
@@ -164,12 +164,12 @@ fn verify_names_the_tampered_record() {
 #[test]
 fn attribution_names_injected_solver_latency_by_origin() {
     let _serial = ledger_lock();
-    prof::set_enabled(true);
+    trace::set_profiling(true);
     let (baseline, _) = record_run("attr-baseline", small_config(2));
     fault::arm("solver.check:latency=2:*").expect("fault plan parses");
     let (faulted, cv) = record_run("attr-faulted", small_config(2));
     fault::disarm();
-    prof::set_enabled(false);
+    trace::set_profiling(false);
     let _ = prof::take();
     assert!(cv.total_paths > 0, "faulted run still completes");
 
