@@ -370,7 +370,7 @@ fn main() {
     // stay deterministic regardless.
     trace::set_profiling(true);
 
-    let bench_dir = pokemu_rt::bench::target_dir().join("bench");
+    let bench_dir = pokemu_rt::target_dir().join("bench");
     std::fs::create_dir_all(&bench_dir).expect("create target/bench");
 
     type Runner = fn() -> WorkloadResult;

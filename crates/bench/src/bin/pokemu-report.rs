@@ -759,7 +759,7 @@ fn load_bench_run(path: &Path) -> Result<BenchRun, String> {
 /// The committed bench baselines: `<repo>/tests/baselines/bench`, located
 /// relative to the target directory like the conformance ROMs.
 fn default_bench_baselines_dir() -> PathBuf {
-    pokemu_rt::bench::target_dir()
+    pokemu_rt::target_dir()
         .parent()
         .map(|p| p.join("tests/baselines/bench"))
         .unwrap_or_else(|| PathBuf::from("tests/baselines/bench"))
@@ -770,7 +770,7 @@ fn default_bench_baselines_dir() -> PathBuf {
 /// their baseline bands. Violations name the workload and field.
 fn cmd_bench(args: &mut std::env::Args) -> ExitCode {
     let mut baselines = default_bench_baselines_dir();
-    let mut bench_dir = pokemu_rt::bench::target_dir().join("bench");
+    let mut bench_dir = pokemu_rt::target_dir().join("bench");
     let mut check = false;
     let mut json_out = false;
     while let Some(a) = args.next() {

@@ -1,61 +1,20 @@
-//! A fast end-to-end check of the bench harness, suitable for CI: runs one
-//! tiny benchmark from each pipeline stage with millisecond budgets and
-//! verifies the JSON output file appears and parses shallowly. Exits
-//! non-zero on any failure, so `scripts/ci.sh` can gate on it.
+//! The CI smoke run: one miniature end-to-end pipeline run (two
+//! instructions of opcode 0x80, two workers) that takes about a second.
+//! The observers switched on by its environment (`POKEMU_TRACE`,
+//! `POKEMU_PROF`, `POKEMU_RUN_MANIFEST`, `POKEMU_FAULT`, ...) export what
+//! `scripts/ci.sh` gates on. Exits non-zero if a run that claims
+//! completion did no work.
 
-use std::time::Duration;
-
-use pokemu::explore::{
-    explore_instruction_space, explore_state_space, InsnSpaceConfig, StateSpaceConfig,
-};
-use pokemu::harness::{
-    baseline_snapshot, run_cross_validation, run_on_all_targets, PipelineConfig,
-};
-use pokemu::lofi::Fidelity;
-use pokemu_rt::bench::Bench;
+use pokemu::harness::{run_cross_validation, PipelineConfig};
 
 fn main() {
     // Stable run-ledger context: the pipeline run below appends a history
     // record, and its trend group must not depend on the binary's cargo
     // hash or working directory.
     pokemu_rt::history::set_context("smoke-bench");
-    let baseline = baseline_snapshot();
-    let mut bench = Bench::new("smoke");
-    let mut g = bench.group("smoke");
-    g.sample_size(3)
-        .warm_up_time(Duration::from_millis(20))
-        .measurement_time(Duration::from_millis(120));
-    g.bench_function("insn_exploration", |b| {
-        b.iter(|| {
-            explore_instruction_space(InsnSpaceConfig {
-                first_byte: Some(0x50),
-                second_byte: None,
-                max_paths: 1000,
-            })
-        })
-    });
-    g.bench_function("state_exploration", |b| {
-        b.iter(|| {
-            explore_state_space(
-                &[0x74, 0x02],
-                &baseline,
-                StateSpaceConfig {
-                    max_paths: 8,
-                    ..Default::default()
-                },
-            )
-        })
-    });
-    let prog = pokemu::testgen::TestProgram::baseline_only("smoke".into(), &[0x90])
-        .expect("nop program builds");
-    g.bench_function("execution", |b| {
-        b.iter(|| run_on_all_targets(&prog, Fidelity::QEMU_LIKE))
-    });
-    g.finish();
-
-    // A miniature end-to-end pipeline run. Under POKEMU_TRACE=1 this also
-    // exports target/trace/cross_validation.{trace.json,metrics.jsonl},
-    // which the `trace-smoke` CI step feeds to `pokemu-report --check`.
+    // Under POKEMU_TRACE=1 the run also exports
+    // target/trace/cross_validation.{trace.json,metrics.jsonl}, which the
+    // `trace-smoke` CI step feeds to `pokemu-report --check`.
     let cv = run_cross_validation(PipelineConfig {
         first_byte: Some(0x80),
         max_instructions: 2,
@@ -83,21 +42,4 @@ fn main() {
         cv.unknown_queries,
         cv.infeasible_paths
     );
-
-    let path = bench.out_path().to_path_buf();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("bench JSON missing at {}: {e}", path.display()));
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "one JSON line per benchmark: {text}");
-    for line in lines {
-        for key in [
-            "\"suite\":\"smoke\"",
-            "\"median_ns\":",
-            "\"p95_ns\":",
-            "\"iters_per_sample\":",
-        ] {
-            assert!(line.contains(key), "{key} missing from {line}");
-        }
-    }
-    println!("[smoke-bench] OK: 3 benchmarks, JSON at {}", path.display());
 }

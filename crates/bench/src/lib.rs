@@ -1,10 +1,10 @@
-//! Shared helpers for the PokeEMU-rs benchmark suite.
+//! Shared constants for the PokeEMU-rs tool binaries.
 //!
-//! Every bench regenerates one experiment of the paper's evaluation
-//! (see DESIGN.md's experiment index and EXPERIMENTS.md for the results):
-//! it prints the measured table rows and times the dominant computation
-//! with the `pokemu_rt::bench` timer harness (JSON lines in `target/bench/`).
+//! The package holds the gated bench workloads (`pokemu-bench`), the
+//! report and gate CLI (`pokemu-report`), the fleet coordinator
+//! (`pokemu-fleet`), the CI smoke run (`smoke-bench`) and the example that
+//! prints every experiment row of EXPERIMENTS.md (`regen_experiments`).
 
-/// A tiny deterministic opcode set exercising all decode forms, used by
-/// benches that sweep instructions.
+/// The E3 sweep: a tiny deterministic opcode set exercising all decode
+/// forms, shared by `regen_experiments` and the lifted-test benchmark.
 pub const SWEEP_BYTES: &[u8] = &[0x50, 0x74, 0xc9, 0xf7];

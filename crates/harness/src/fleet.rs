@@ -1030,11 +1030,10 @@ fn heartbeat_age(dir: &Path, spawned: Instant) -> Duration {
 /// for shards that claimed success.
 pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
     let started = Instant::now();
-    let root = config.root.clone().unwrap_or_else(|| {
-        pokemu_rt::bench::target_dir()
-            .join("fleet")
-            .join(&config.run_id)
-    });
+    let root = config
+        .root
+        .clone()
+        .unwrap_or_else(|| pokemu_rt::target_dir().join("fleet").join(&config.run_id));
     std::fs::create_dir_all(&root)?;
     let config_fp = config_fingerprint(config);
     let mut events = EventLog::open(&root.join("fleet-events.jsonl"), started)?;

@@ -79,7 +79,7 @@ fn sanitize(id: &str) -> String {
 
 /// The artifact directory for a run: `target/run/<run-id>/`.
 pub fn run_dir(run_id: &str) -> PathBuf {
-    pokemu_rt::bench::target_dir().join("run").join(run_id)
+    pokemu_rt::target_dir().join("run").join(run_id)
 }
 
 /// Degrades a failed run-artifact write without panicking, and — unlike a

@@ -271,7 +271,7 @@ pub fn dump_dir() -> PathBuf {
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .clone()
-        .unwrap_or_else(|| crate::bench::target_dir().join("run"))
+        .unwrap_or_else(|| crate::target_dir().join("run"))
 }
 
 /// Installs a panic hook (once per process, chaining any existing hook)
@@ -417,7 +417,7 @@ mod tests {
         set_enabled(true);
         clear();
         note("flight.test.dump", || "say \"hi\"\n".to_owned());
-        let path = crate::bench::target_dir().join("run/flight-test/dump.jsonl");
+        let path = crate::target_dir().join("run/flight-test/dump.jsonl");
         dump_to(&path).expect("dump writes");
         let text = std::fs::read_to_string(&path).expect("dump readable");
         let line = text

@@ -91,7 +91,7 @@ pub fn enabled() -> bool {
 pub fn dir() -> PathBuf {
     match std::env::var(HISTORY_DIR_ENV) {
         Ok(d) if !d.is_empty() => PathBuf::from(d),
-        _ => crate::bench::target_dir().join("history"),
+        _ => crate::target_dir().join("history"),
     }
 }
 

@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn parses_bench_json_lines() {
-        // The exact shape rt::bench emits.
+        // A flat object of string and integer fields, one per line.
         let line = r#"{"suite":"smoke","group":"smoke","bench":"x","samples":3,"iters_per_sample":1,"min_ns":1,"mean_ns":2,"median_ns":2,"p95_ns":3,"max_ns":3}"#;
         let v = parse(line).unwrap();
         assert_eq!(v.get("suite").unwrap().as_str(), Some("smoke"));

@@ -1,14 +1,13 @@
 //! `pokemu-rt` — self-contained runtime support for the PokeEMU-rs
 //! workspace, replacing every external crate the repo once pulled from
-//! crates.io so that `cargo build && cargo test && cargo bench` work with
-//! no network access:
+//! crates.io so that `cargo build && cargo test` work with no network
+//! access:
 //!
 //! | was | now |
 //! |---|---|
 //! | `rand` | [`rng`]: seedable SplitMix64 / xoshiro256** with the small `Rng` surface the repo uses |
 //! | `crossbeam` (scoped threads) | [`pool`]: `std::thread::scope` work queue with per-worker stats |
 //! | `proptest` | [`prop`]: the [`prop!`] macro — N cases, PRNG generators, shrink-by-halving, `POKEMU_PROP_SEED` replay |
-//! | `criterion` | [`bench`]: warm-up + K timed samples, median/p95, JSON lines in `target/bench/` |
 //! | `tracing` + `metrics` + `serde_json` | [`trace`]: scoped spans with two sinks, Chrome `trace_event` events and a folded `.folded` profile for flamegraph tooling ([`prof`] holds the folded table and its export); [`metrics`]: counters / timers / log-scale histograms with snapshot-diff; [`json`]: the matching zero-dep JSON reader |
 //!
 //! On top of the replacements, observability primitives with no external
@@ -30,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod coverage;
 pub mod fault;
 pub mod flight;
@@ -53,3 +51,25 @@ pub use prof::FrameStat;
 pub use prop::Gen;
 pub use rng::{mix64, Rng, SplitMix64};
 pub use trace::{SpanEvent, SpanGuard, TracePaths};
+
+use std::path::PathBuf;
+
+/// The workspace `target/` directory: `$CARGO_TARGET_DIR` if set, else the
+/// nearest ancestor `target/` of the current directory, else `./target`.
+pub fn target_dir() -> PathBuf {
+    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
+        return PathBuf::from(d);
+    }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let mut dir = cwd.as_path();
+    loop {
+        let cand = dir.join("target");
+        if cand.is_dir() {
+            return cand;
+        }
+        match dir.parent() {
+            Some(p) => dir = p,
+            None => return cwd.join("target"),
+        }
+    }
+}

@@ -81,7 +81,7 @@ fn render_folded(table: &BTreeMap<String, FrameStat>) -> String {
 /// Propagates filesystem errors creating or writing the output file.
 pub fn export(run: &str) -> std::io::Result<PathBuf> {
     let table = take();
-    let dir = crate::bench::target_dir().join("prof");
+    let dir = crate::target_dir().join("prof");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{run}.folded"));
     std::fs::write(&path, render_folded(&table))?;

@@ -472,7 +472,7 @@ fn event_json(ev: &SpanEvent) -> String {
 /// build artifacts (honors `CARGO_TARGET_DIR`). `pokemu-report` reads the
 /// files back from here.
 pub fn trace_dir() -> PathBuf {
-    crate::bench::target_dir().join("trace")
+    crate::target_dir().join("trace")
 }
 
 /// Drains all collected spans to `target/trace/<run>.trace.json` and writes

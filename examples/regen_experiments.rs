@@ -1,317 +1,371 @@
-//! Regenerates every experiment in EXPERIMENTS.md (E1-E8, A1): the paper's
-//! quantitative claims, measured on this reproduction.
+//! Regenerates every experiment row in EXPERIMENTS.md (E1-E8, A1): the
+//! paper's quantitative claims, measured on this reproduction.
 //!
 //! ```text
 //! POKEMU_SCALE=quick cargo run --release --example regen_experiments
 //! POKEMU_SCALE=full  cargo run --release --example regen_experiments
 //! ```
 //!
-//! `quick` sweeps a representative opcode subset (minutes); `full` explores
-//! the entire first-byte space (tens of minutes).
+//! `quick` (the default) runs each experiment at the configuration
+//! EXPERIMENTS.md quotes. `full` widens E1 to the whole first-byte space
+//! and E3 (with the E4 clusters it feeds) to every first byte.
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use pokemu::explore::{
-    explore_instruction_space, explore_state_space, InsnSpaceConfig, StateSpaceConfig,
+    explore_instruction_space, explore_state_space, to_test_programs, InsnSpaceConfig,
+    StateSpaceConfig,
 };
 use pokemu::harness::{
-    baseline_snapshot, run_cross_validation, run_random_baseline, PipelineConfig, RandomConfig,
+    baseline_snapshot, run_cross_validation, run_on_all_targets, run_random_baseline, Clusters,
+    PipelineConfig, RandomConfig,
 };
+use pokemu::isa::translate::descriptor_checks;
+use pokemu::isa::Snapshot;
 use pokemu::lofi::Fidelity;
+use pokemu::symx::Executor;
+use pokemu::testgen::TestProgram;
+use pokemu_bench::SWEEP_BYTES;
 
 fn main() {
     let scale = std::env::var("POKEMU_SCALE").unwrap_or_else(|_| "quick".into());
-    let full = scale == "full";
-    let tiny = scale == "tiny";
+    let full = match scale.as_str() {
+        "quick" => false,
+        "full" => true,
+        other => {
+            eprintln!("POKEMU_SCALE must be quick or full, not {other:?}");
+            std::process::exit(2);
+        }
+    };
     println!("# PokeEMU-rs experiment regeneration ({scale})");
     println!();
-
+    let baseline = baseline_snapshot();
     e1_insn_exploration(full);
-    let e2 = e2_e3_pipeline(full, tiny);
-    e5_random_vs_lifting(e2);
-    e6_cost_breakdown();
-    e7_summarization();
-    e8_minimization();
+    e2_state_exploration(&baseline);
+    e3_cross_validation(full);
+    e5_random_vs_lifting();
+    e6_cost_breakdown(&baseline);
+    e7_summarization(&baseline);
+    e8_minimization(&baseline);
     a1_fidelity_ablation();
+}
+
+fn state_space_config(max_paths: usize) -> StateSpaceConfig {
+    StateSpaceConfig {
+        max_paths,
+        ..Default::default()
+    }
+}
+
+fn pipeline_config(first_byte: u8, max_paths_per_insn: usize) -> PipelineConfig {
+    PipelineConfig {
+        first_byte: Some(first_byte),
+        max_paths_per_insn,
+        ..PipelineConfig::default()
+    }
+}
+
+/// The named paper classes among a run's clusters.
+fn named_causes(clusters: &Clusters) -> BTreeSet<String> {
+    clusters
+        .iter()
+        .filter(|(c, _, _)| c.is_identified())
+        .map(|(c, _, _)| c.to_string())
+        .collect()
 }
 
 fn e1_insn_exploration(full: bool) {
     println!("## E1: instruction-set exploration (paper: 68,977 candidates -> 880 unique)");
     let t = Instant::now();
-    if full {
-        let r = explore_instruction_space(InsnSpaceConfig::default());
-        println!(
-            "measured: {} candidates -> {} unique instructions ({} invalid paths, complete={}) in {:.1?}",
-            r.candidates,
-            r.classes.len(),
-            r.invalid,
-            r.complete,
-            t.elapsed()
-        );
+    let (label, runs) = if full {
+        (
+            "full first-byte space",
+            vec![explore_instruction_space(InsnSpaceConfig::default())],
+        )
     } else {
-        // Representative sample of first bytes across the decode forms.
-        let mut candidates = 0;
-        let mut classes = 0;
-        let mut invalid = 0;
-        for byte in [0x00u8, 0x0f, 0x50, 0x80, 0x8e, 0xc1, 0xc9, 0xd4, 0xf7, 0xff] {
-            let r = explore_instruction_space(InsnSpaceConfig {
-                first_byte: Some(byte),
-                second_byte: None,
-                max_paths: 100_000,
-            });
-            candidates += r.candidates;
-            classes += r.classes.len();
-            invalid += r.invalid;
-        }
-        println!(
-            "measured (10-byte sample): {candidates} candidates -> {classes} unique ({invalid} invalid) in {:.1?}",
-            t.elapsed()
-        );
-    }
+        // A sample of first bytes across the decode forms.
+        let sample = [0x00u8, 0x0f, 0x50, 0x80, 0x8e, 0xc1, 0xc9, 0xd4, 0xf7, 0xff];
+        let runs = sample
+            .iter()
+            .map(|&b| {
+                explore_instruction_space(InsnSpaceConfig {
+                    first_byte: Some(b),
+                    second_byte: None,
+                    max_paths: 100_000,
+                })
+            })
+            .collect();
+        ("10-first-byte sample", runs)
+    };
+    let candidates: usize = runs.iter().map(|r| r.candidates).sum();
+    let unique: usize = runs.iter().map(|r| r.classes.len()).sum();
+    let invalid: usize = runs.iter().map(|r| r.invalid).sum();
+    let complete = runs.iter().all(|r| r.complete);
+    println!(
+        "measured ({label}): {candidates} candidates -> {unique} unique \
+         ({invalid} invalid paths, complete={complete}) in {:.1?}",
+        t.elapsed()
+    );
     println!();
 }
 
-fn e2_e3_pipeline(full: bool, tiny: bool) -> usize {
-    println!("## E2/E3: state exploration + cross-validation");
-    println!("   (paper: 610,516 paths; >=95% instructions fully explored;");
-    println!("    60,770 QEMU diffs and 15,219 Bochs diffs vs hardware)");
-    let sweep: Vec<u8> = if full {
-        (0u8..=0xff).collect()
-    } else if tiny {
-        vec![0x50, 0x74, 0x8e, 0xa2, 0xc9, 0xcf, 0xd6]
+fn e2_state_exploration(baseline: &Snapshot) {
+    println!("## E2: state-space exploration (paper: 610,516 paths; ~95% of instructions");
+    println!("   fully explored under an 8,192-path cap)");
+    let insns: &[(&str, &[u8])] = &[
+        ("clc", &[0xf8]),
+        ("push eax", &[0x50]),
+        ("jz rel8", &[0x74, 0x02]),
+        ("add eax, imm32", &[0x05, 0, 0, 0, 0]),
+        ("div ecx", &[0xf7, 0xf1]),
+        ("leave", &[0xc9]),
+        ("mov ds, ax", &[0x8e, 0xd8]),
+    ];
+    println!("instruction    | paths | complete coverage (cap 256)");
+    let mut complete = 0;
+    for (name, bytes) in insns {
+        let s = explore_state_space(bytes, baseline, state_space_config(256));
+        println!("{name:14} | {:5} | {}", s.paths.len(), s.complete);
+        complete += s.complete as usize;
+    }
+    println!(
+        "complete coverage: {complete}/{} = {:.0}% (paper: ~95%)",
+        insns.len(),
+        100.0 * complete as f64 / insns.len() as f64
+    );
+    println!();
+}
+
+fn e3_cross_validation(full: bool) {
+    println!("## E3: cross-validation vs the hardware oracle (paper: of 610,516 tests,");
+    println!("   60,770 differ on QEMU and 15,219 on Bochs, raw)");
+    let (sweep, cap) = if full {
+        ((0u8..=0xff).collect(), 1024)
     } else {
-        vec![
-            0x00, 0x40, 0x50, 0x74, 0x8e, 0x98, 0xa2, 0xc1, 0xc9, 0xcf, 0xd6, 0xf7, 0x0f,
-        ]
+        (SWEEP_BYTES.to_vec(), 64)
     };
     let t = Instant::now();
-    let mut insns = 0;
-    let mut full_cov = 0;
-    let mut paths = 0;
-    let (mut lofi_raw, mut hifi_raw, mut lofi_filt, mut hifi_filt) = (0, 0, 0, 0);
-    let mut lofi_causes = std::collections::BTreeMap::<String, usize>::new();
-    for byte in sweep {
-        let r = run_cross_validation(PipelineConfig {
-            first_byte: Some(byte),
-            max_paths_per_insn: if full {
-                1024
-            } else if tiny {
-                96
-            } else {
-                192
-            },
-            ..PipelineConfig::default()
-        });
-        insns += r.unique_instructions;
-        full_cov += r.fully_explored;
-        paths += r.total_paths;
-        lofi_raw += r.lofi_differences;
-        hifi_raw += r.hifi_differences;
+    let (mut tests, mut lofi, mut hifi, mut lofi_filt, mut hifi_filt) = (0, 0, 0, 0, 0);
+    let mut causes = std::collections::BTreeMap::<String, usize>::new();
+    for &byte in &sweep {
+        let r = run_cross_validation(pipeline_config(byte, cap));
+        tests += r.total_paths;
+        lofi += r.lofi_differences;
+        hifi += r.hifi_differences;
         lofi_filt += r.lofi_filtered;
         hifi_filt += r.hifi_filtered;
-        for (cause, count, _) in r.lofi_clusters.iter() {
-            *lofi_causes.entry(cause.to_string()).or_default() += count;
+        for (cause, n, _) in r.lofi_clusters.iter() {
+            *causes.entry(cause.to_string()).or_default() += n;
         }
     }
+    let pct = |n: usize| 100.0 * n as f64 / tests.max(1) as f64;
+    if full {
+        println!("sweep: every first byte, at most {cap} paths per instruction");
+    } else {
+        println!("sweep: opcodes {sweep:02x?}, at most {cap} paths per instruction");
+    }
     println!(
-        "measured: {insns} instructions, {paths} paths (test programs) in {:.1?}",
+        "measured: {tests} tests -> lofi {lofi} ({:.1}%) vs hifi {hifi} ({:.1}%) raw \
+         differences in {:.1?}",
+        pct(lofi),
+        pct(hifi),
         t.elapsed()
     );
-    println!(
-        "complete path coverage: {full_cov}/{insns} instructions = {:.1}% (paper: ~95%)",
-        100.0 * full_cov as f64 / insns.max(1) as f64
-    );
-    println!(
-        "raw differences vs hardware:  lofi {lofi_raw} ({:.1}%)  hifi {hifi_raw} ({:.1}%)",
-        100.0 * lofi_raw as f64 / paths.max(1) as f64,
-        100.0 * hifi_raw as f64 / paths.max(1) as f64
-    );
-    println!("   shape check: lofi diffs >> hifi diffs, as in the paper (60,770 vs 15,219)");
-    println!("after UB filter: lofi {lofi_filt}  hifi {hifi_filt}");
-    println!("## E4: Lo-Fi root causes (paper section 6.2 classes)");
-    for (cause, n) in &lofi_causes {
-        println!("  {n:6}  {cause}");
+    println!("after the undefined-behavior filter: lofi {lofi_filt}, hifi {hifi_filt}");
+    println!();
+    println!("## E4: Lo-Fi root causes of the E3 run (paper section 6.2 classes)");
+    for (cause, n) in &causes {
+        println!("{n:6}  {cause}");
     }
     println!();
-    paths
 }
 
-fn e5_random_vs_lifting(lifting_paths: usize) {
-    println!("## E5: random testing vs path-exploration lifting");
+fn e5_random_vs_lifting() {
+    println!("## E5: random testing vs path-exploration lifting at an equal budget");
     println!("   (paper: random testing misses corner cases, e.g. iret straddling a fault)");
+    let mut budget = 0;
+    let mut lifted = BTreeSet::new();
+    for byte in [0xc9u8, 0xa2, 0xd6] {
+        let r = run_cross_validation(pipeline_config(byte, 64));
+        budget += r.total_paths;
+        lifted.extend(named_causes(&r.lofi_clusters));
+    }
     let t = Instant::now();
     let r = run_random_baseline(RandomConfig {
-        tests: lifting_paths.clamp(100, 3000),
+        tests: budget,
         ..Default::default()
     });
-    let named: Vec<String> = r
-        .lofi_clusters
-        .iter()
-        .filter(|(c, _, _)| c.is_identified())
-        .map(|(c, n, _)| format!("{c} x{n}"))
-        .collect();
+    let random = named_causes(&r.lofi_clusters);
+    let missed: Vec<&String> = lifted.difference(&random).collect();
+    println!("budget: {budget} tests each (lifting: opcodes c9 a2 d6, at most 64 paths)");
+    println!("lifting named {} root causes: {lifted:?}", lifted.len());
     println!(
-        "random baseline: {} tests, {} lofi diffs, {} named root causes in {:.1?}",
-        r.tests,
+        "random named {} root causes ({} lofi differences, {:.1?}): {random:?}",
+        random.len(),
         r.lofi_differences,
-        named.len(),
         t.elapsed()
     );
-    for c in &named {
-        println!("  {c}");
-    }
-    println!("   compare against E4: lifting identifies the corner-case classes random missed");
+    println!("named classes random testing missed: {missed:?}");
     println!();
 }
 
-fn e6_cost_breakdown() {
+fn e6_cost_breakdown(baseline: &Snapshot) {
     println!("## E6: cost breakdown (paper: generation 545.4 CPU-h dominated by the solver;");
-    println!("   execution 198.7/391.9/48.5 CPU-h; both highly parallel)");
-    let baseline = baseline_snapshot();
-    let insn = [0xf7u8, 0xf1]; // div ecx: a branchy instruction
+    println!("   execution 48.5-391.9 CPU-h per target; both highly parallel)");
     let t = Instant::now();
-    let space = explore_state_space(
-        &insn,
-        &baseline,
-        StateSpaceConfig {
-            max_paths: 256,
-            ..Default::default()
-        },
-    );
-    let gen_time = t.elapsed();
-    let progs = pokemu::explore::to_test_programs(&space, "e6");
+    let space = explore_state_space(&[0xf7, 0xf1], baseline, state_space_config(64));
+    let gen = t.elapsed();
+    let progs = to_test_programs(&space, "e6");
     let t = Instant::now();
     for p in &progs {
-        let _ = pokemu::harness::run_on_all_targets(p, Fidelity::QEMU_LIKE);
+        run_on_all_targets(p, Fidelity::QEMU_LIKE);
     }
-    let exec_time = t.elapsed();
+    let exec = t.elapsed();
     println!(
-        "measured (div ecx): {} paths; generation {gen_time:.1?} ({} solver queries), execution x3 targets {exec_time:.1?}",
+        "div ecx: {} paths, {} solver queries; generation {gen:.1?}, execution on 3 targets {exec:.1?}",
         space.paths.len(),
         space.solver_queries
     );
     println!(
-        "per test: generation {:.2?}, execution {:.2?}  -> generation dominates, as in the paper",
-        gen_time / space.paths.len().max(1) as u32,
-        exec_time / progs.len().max(1) as u32
+        "per test: generation {:.2?}, execution {:.2?} (ratio {:.1}; paper: generation dominates)",
+        gen / space.paths.len().max(1) as u32,
+        exec / progs.len().max(1) as u32,
+        gen.as_secs_f64() / exec.as_secs_f64().max(1e-9)
     );
-    // Thread scaling.
     for threads in [1usize, 2] {
-        let t = Instant::now();
-        let _ = run_cross_validation(PipelineConfig {
-            first_byte: Some(0x80),
-            max_paths_per_insn: 48,
+        let cv = run_cross_validation(PipelineConfig {
             threads,
-            ..PipelineConfig::default()
+            ..pipeline_config(0x80, 32)
         });
+        let s = &cv.stages;
         println!(
-            "pipeline on opcode 0x80 with {threads} thread(s): {:.1?}",
-            t.elapsed()
+            "pipeline (opcode 0x80) with {threads} thread(s): total {:.1?} (explore {:.1?}, \
+             generate {:.1?}, execute {:.1?}, analyze {:.1?}; parallel wall {:.1?}; \
+             {} solver queries)",
+            s.total_wall,
+            s.explore_insns,
+            s.generate,
+            s.execute,
+            s.analyze,
+            s.parallel_wall,
+            s.solver_queries
         );
+        for w in &s.workers {
+            println!(
+                "  worker {}: {} insns, busy {:.1?}",
+                w.worker, w.items, w.busy
+            );
+        }
     }
     println!();
 }
 
-fn e7_summarization() {
-    println!(
-        "## E7: descriptor-cache summarization (paper: 23 paths/segment, 23^6 blowup avoided)"
+fn e7_summarization(baseline: &Snapshot) {
+    println!("## E7: descriptor-cache summarization (paper: 23 paths; 23^6 blowup avoided)");
+    let mut exec = Executor::new();
+    let summary = exec.summarize(
+        &[(32, "lo"), (32, "hi"), (16, "sel"), (2, "cpl"), (2, "kind")],
+        |e, f| descriptor_checks(e, f[0], f[1], f[2], f[3], f[4]).to_vec(),
     );
-    let baseline = baseline_snapshot();
-    let insn = [0x8e, 0xd8]; // mov ds, ax: a segment-loading instruction
-    for (label, use_summaries) in [("with summaries", true), ("without", false)] {
+    println!(
+        "descriptor-load computation: {} paths (paper: 23)",
+        summary.cases()
+    );
+    for (label, use_summaries) in [("with summary", true), ("without summary", false)] {
         let t = Instant::now();
-        let space = explore_state_space(
-            &insn,
-            &baseline,
+        let s = explore_state_space(
+            &[0x8e, 0xd8],
+            baseline,
             StateSpaceConfig {
-                max_paths: 512,
                 use_summaries,
-                ..Default::default()
+                ..state_space_config(384)
             },
         );
         println!(
-            "  {label:16}: {} paths, complete={}, {} solver queries, {:.1?}",
-            space.paths.len(),
-            space.complete,
-            space.solver_queries,
+            "mov ds, ax {label:15}: {} paths, complete={}, {} solver queries, {:.1?}",
+            s.paths.len(),
+            s.complete,
+            s.solver_queries,
             t.elapsed()
         );
     }
     println!();
 }
 
-fn e8_minimization() {
+fn e8_minimization(baseline: &Snapshot) {
     println!("## E8: state-difference minimization (paper: no initializer-generation failures)");
-    let baseline = baseline_snapshot();
-    let mut before = 0usize;
-    let mut after = 0usize;
-    let mut programs = 0usize;
-    let mut failures = 0usize;
-    for insn in [vec![0xc9], vec![0x74, 0x02], vec![0xf7, 0xf1], vec![0x50]] {
-        let space = explore_state_space(
-            &insn,
-            &baseline,
-            StateSpaceConfig {
-                max_paths: 128,
-                ..Default::default()
-            },
-        );
-        for p in &space.paths {
+    let (mut before, mut after, mut ok, mut failed) = (0, 0, 0, 0);
+    for insn in [
+        vec![0xc9u8],
+        vec![0x74, 0x02],
+        vec![0xf7, 0xf1],
+        vec![0x8e, 0xd8],
+    ] {
+        let s = explore_state_space(&insn, baseline, state_space_config(128));
+        for p in &s.paths {
             before += p.minimize.bits_before;
             after += p.minimize.bits_after;
-            match pokemu::testgen::TestProgram::build("e8".into(), p.state.clone(), &insn) {
-                Ok(_) => programs += 1,
-                Err(_) => failures += 1,
+            match TestProgram::build("e8".into(), p.state.clone(), &insn) {
+                Ok(_) => ok += 1,
+                Err(_) => failed += 1,
             }
         }
     }
     println!(
-        "  bits differing from baseline: {before} before -> {after} after minimization ({:.1}% kept)",
+        "bits differing from baseline: {before} before -> {after} after minimization \
+         ({:.1}% kept)",
         100.0 * after as f64 / before.max(1) as f64
     );
-    println!("  initializer generation: {programs} ok, {failures} failures (paper: none fail)");
+    println!("initializer generation: {ok} ok, {failed} failures (paper: none fail)");
     println!();
 }
 
 fn a1_fidelity_ablation() {
-    println!("## A1: fidelity ablation — each fix eliminates its cluster");
-    let cases: &[(&str, u8, Fidelity)] = &[
-        ("baseline (QEMU-like)", 0xc9, Fidelity::QEMU_LIKE),
+    println!("## A1: fidelity ablation: each Lo-Fi fix eliminates its cluster");
+    let rows: &[(&str, u8, Fidelity)] = &[
         (
-            "+atomic leave",
+            "atomic leave",
             0xc9,
             Fidelity {
                 atomic_leave: true,
                 ..Fidelity::QEMU_LIKE
             },
         ),
-        ("baseline (QEMU-like)", 0xa2, Fidelity::QEMU_LIKE),
         (
-            "+segment checks",
+            "segment checks",
             0xa2,
             Fidelity {
                 enforce_segment_checks: true,
                 ..Fidelity::QEMU_LIKE
             },
         ),
+        (
+            "encodings",
+            0xd6,
+            Fidelity {
+                accept_undocumented: true,
+                ..Fidelity::QEMU_LIKE
+            },
+        ),
     ];
-    for &(label, byte, fid) in cases {
-        let r = run_cross_validation(PipelineConfig {
-            first_byte: Some(byte),
-            max_paths_per_insn: 96,
-            lofi_fidelity: fid,
-            ..PipelineConfig::default()
-        });
-        let causes: Vec<String> = r
-            .lofi_clusters
-            .iter()
-            .map(|(c, n, _)| format!("{c} x{n}"))
-            .collect();
-        println!(
-            "  opcode {byte:#04x} {label:22}: {} filtered diffs [{}]",
-            r.lofi_filtered,
-            causes.join("; ")
-        );
+    for &(label, byte, fixed) in rows {
+        for (when, fid) in [("before", Fidelity::QEMU_LIKE), ("after", fixed)] {
+            let r = run_cross_validation(PipelineConfig {
+                lofi_fidelity: fid,
+                ..pipeline_config(byte, 48)
+            });
+            let causes: Vec<String> = r
+                .lofi_clusters
+                .iter()
+                .map(|(c, n, _)| format!("{c} x{n}"))
+                .collect();
+            println!(
+                "{label:14} opcode {byte:#04x} {when:6}: {} filtered diffs [{}]",
+                r.lofi_filtered,
+                causes.join("; ")
+            );
+        }
     }
     println!();
 }

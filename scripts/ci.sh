@@ -9,7 +9,7 @@ cargo fmt --all --check
 
 echo "== cargo build --release (all targets; any warning fails)"
 # Cargo replays the cached warnings of up-to-date crates, so a warm build
-# still reports every warning in the workspace, tests and benches included.
+# still reports every warning in the workspace, tests and examples included.
 mkdir -p target
 cargo build --workspace --release --offline --all-targets 2>&1 | tee target/build.log
 if grep -q '^warning:' target/build.log; then
@@ -23,11 +23,14 @@ cargo test --workspace --offline -q
 echo "== liftbench tests (the lifted-test benchmark of BENCHMARK.json)"
 cargo test --offline -q --manifest-path liftbench/Cargo.toml
 
-echo "== smoke bench (pokemu_rt::bench end to end)"
-cargo run --release --offline -p pokemu-bench --bin smoke-bench
+echo "== experiments driver (every EXPERIMENTS.md row, quick scale)"
+# Fails on a non-zero exit, e.g. a panic in one experiment. No ledger
+# records: the rows are printed, not gated.
+POKEMU_HISTORY=0 POKEMU_SCALE=quick \
+    cargo run --release --offline --example regen_experiments
 
 echo "== trace + profile smoke (both pokemu_rt::trace sinks end to end)"
-# Re-run the smoke bench with span events, the folded profile, and the run
+# Run the smoke bench with span events, the folded profile, and the run
 # manifest on: the pipeline exports a Chrome trace + the run's metrics, a
 # collapsed-stack .folded profile, the hot-TB table, and
 # target/run/smoke/manifest.json. pokemu-report --check gates on the trace
@@ -42,8 +45,9 @@ test -s target/prof/cross_validation.folded \
 
 echo "== trace export carries the run's metrics (vs the run manifest)"
 # Both files come from the one smoke run above and both counters are
-# deterministic, so they must agree: the export holds the run's delta, not
-# the whole process's (smoke-bench's warm-up loops run before the pipeline).
+# deterministic, so they must agree: the export and the manifest hold the
+# same run delta. (smoke-bench runs nothing before the pipeline, so here the
+# delta equals the process's totals.)
 for counter in target.lofi.runs solver.queries; do
     pattern="${counter//./\\.}"
     exported=$(grep -o "\"name\":\"$pattern\",\"value\":[0-9]*" \

@@ -48,7 +48,7 @@ fn config(run_id: &str, root: &str, shards: usize) -> FleetConfig {
 fn scratch(name: &str) -> String {
     // Cargo runs test binaries with the *package* dir as CWD, so a relative
     // "target" would land in crates/core/; resolve the workspace target dir.
-    pokemu_rt::bench::target_dir()
+    pokemu_rt::target_dir()
         .join("fleet-test")
         .join(name)
         .display()
