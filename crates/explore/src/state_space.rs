@@ -200,6 +200,10 @@ pub fn explore_state_space(
     // Solver queries issued anywhere below carry this instruction's hex in
     // their provenance (flight notes, slow-query attribution).
     let _insn_ctx = pokemu_solver::origin::insn_scoped(insn_hex(insn));
+    // Path-end models that violate their own path condition: a blaster or
+    // SAT-core bug surfacing in production. Resolved up front so the run
+    // manifest lists the counter even at 0.
+    let model_invalid = metrics::counter("solver.model_invalid");
     let mut exec = Executor::with_config(ExploreConfig {
         max_paths: config.max_paths,
         deadline: config.deadline,
@@ -268,6 +272,7 @@ pub fn explore_state_space(
             (p.model.clone(), MinimizeStats::default())
         };
         if mstats.invalid_model {
+            model_invalid.inc();
             pokemu_rt::flight::note("explore.invalid_model", || {
                 format!("insn={} path={:016x}", insn_hex(insn), p.path_id)
             });

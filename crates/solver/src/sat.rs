@@ -8,10 +8,41 @@
 //! thousands of times while sharing all learned clauses across queries
 //! (the paper's use of Z3's incremental mode, §3.1.2).
 //!
-//! The solver is deliberately small: PokeEMU's formulas are dominated by many
-//! cheap queries rather than few hard ones ("most queries completing in a
-//! fraction of a second", §3.1.2), so engineering effort goes into the
-//! incremental interface rather than preprocessing.
+//! ## Cost model
+//!
+//! One exploration keeps one solver, and its instance only grows: every
+//! blasted term stays. A "SAT" answer must assign every variable blasted so
+//! far, so even a query with no conflict costs one propagation per variable.
+//! `idiv m32` (`f7 7f 00`) grows to 68,313 variables and about 282k clauses,
+//! where a zero-conflict path-end model query propagates about 68k literals.
+//! Searches are short (the E3 sweep's 3,986 queries meet 9,622 conflicts in
+//! all), so propagation and heap steps are the cost, and the data structures
+//! are laid out for them:
+//!
+//! - **Clause arena.** Every clause lives in one `Vec<u32>`: a length word,
+//!   then its literal codes. A clause is named by the offset of its length
+//!   word (MiniSat's layout), so watches and reasons hold 32-bit offsets, a
+//!   visit touches one contiguous run of memory, and no clause has an
+//!   allocation of its own.
+//! - **Value table.** Assignment values are indexed by [`Lit`] code, two
+//!   entries per variable, so a literal's value is one load with no sign
+//!   branch.
+//! - **Decision heap.** Each heap entry carries a copy of its variable's
+//!   activity, so comparisons read the heap's own memory. A bump refreshes
+//!   the copy, and a rescale multiplies the copies by the same factor as the
+//!   activity table, so a copy always equals the table. Sifts move a hole
+//!   rather than swapping, which writes each passed entry once and leaves
+//!   the layout pairwise swaps would.
+//!
+//! ## Exactness contract
+//!
+//! Lifted tests depend on *which* model each query returns, not only on the
+//! verdict, and every query leaves state to the next: watch-list order, heap
+//! order, learned clauses, activities and saved phases. A change here must
+//! keep the search exactly the same (literal order and swaps inside clauses,
+//! watch-list order, heap operations and tie-breaks, every floating-point
+//! operation) or regenerate everything that depends on solver models.
+//! `tests/search_fingerprint.rs` pins the search query for query.
 
 /// A propositional variable, identified by index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,19 +135,31 @@ impl SolveBudget {
 
 #[derive(Debug, Clone, Copy)]
 struct Watch {
+    /// Arena offset of the watched clause.
     clause: u32,
     blocker: Lit,
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
+/// `reason` of a decision, an assumption or a unit clause.
+const NO_REASON: u32 = u32::MAX;
+
+/// One decision-heap entry: a variable and a copy of its activity, so a
+/// comparison reads the heap's own memory instead of chasing the variable
+/// index into the activity table.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    act: f64,
+    var: SatVar,
 }
 
 /// Max-heap over variable activities, used for branching decisions.
+///
+/// Every entry's `act` equals `Sat::activity` of its variable: `insert`
+/// copies it, `bumped` refreshes it, and a rescale multiplies the copies by
+/// the same factor as the table.
 #[derive(Debug, Default)]
 struct VarOrder {
-    heap: Vec<SatVar>,
+    heap: Vec<HeapEntry>,
     pos: Vec<i32>, // -1 when absent
 }
 
@@ -131,69 +174,82 @@ impl VarOrder {
         self.pos[v.0 as usize] >= 0
     }
 
-    fn insert(&mut self, v: SatVar, act: &[f64]) {
+    fn insert(&mut self, v: SatVar, act: f64) {
         if self.contains(v) {
             return;
         }
-        self.pos[v.0 as usize] = self.heap.len() as i32;
-        self.heap.push(v);
-        self.sift_up(self.heap.len() - 1, act);
+        self.heap.push(HeapEntry { act, var: v });
+        self.sift_up(self.heap.len() - 1);
     }
 
-    fn pop_max(&mut self, act: &[f64]) -> Option<SatVar> {
-        let top = *self.heap.first()?;
+    fn pop_max(&mut self) -> Option<SatVar> {
+        let top = self.heap.first()?.var;
         let last = self.heap.pop().expect("non-empty");
         self.pos[top.0 as usize] = -1;
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.pos[last.0 as usize] = 0;
-            self.sift_down(0, act);
+            self.sift_down(0);
         }
         Some(top)
     }
 
-    fn bumped(&mut self, v: SatVar, act: &[f64]) {
+    fn bumped(&mut self, v: SatVar, act: f64) {
         if let Ok(i) = usize::try_from(self.pos[v.0 as usize]) {
-            self.sift_up(i, act);
+            self.heap[i].act = act;
+            self.sift_up(i);
         }
     }
 
-    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+    fn rescale(&mut self, factor: f64) {
+        for e in &mut self.heap {
+            e.act *= factor;
+        }
+    }
+
+    // The sifts move a hole instead of swapping: each entry passed moves
+    // one level, and the sifted entry is written once, at its final slot.
+    // The comparisons, and so the layout, are those of pairwise swaps.
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if act[self.heap[i].0 as usize] <= act[self.heap[parent].0 as usize] {
+            if e.act <= self.heap[parent].act {
                 break;
             }
-            self.swap(i, parent);
+            self.place(i, self.heap[parent]);
             i = parent;
         }
+        self.place(i, e);
     }
 
-    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        let n = self.heap.len();
         loop {
             let l = 2 * i + 1;
-            let r = 2 * i + 2;
+            let r = l + 1;
             let mut best = i;
-            if l < self.heap.len() && act[self.heap[l].0 as usize] > act[self.heap[best].0 as usize]
-            {
+            let mut best_act = e.act;
+            if l < n && self.heap[l].act > best_act {
                 best = l;
+                best_act = self.heap[l].act;
             }
-            if r < self.heap.len() && act[self.heap[r].0 as usize] > act[self.heap[best].0 as usize]
-            {
+            if r < n && self.heap[r].act > best_act {
                 best = r;
             }
             if best == i {
                 break;
             }
-            self.swap(i, best);
+            self.place(i, self.heap[best]);
             i = best;
         }
+        self.place(i, e);
     }
 
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i].0 as usize] = i as i32;
-        self.pos[self.heap[j].0 as usize] = j as i32;
+    fn place(&mut self, i: usize, e: HeapEntry) {
+        self.heap[i] = e;
+        self.pos[e.var.0 as usize] = i as i32;
     }
 }
 
@@ -231,12 +287,17 @@ pub struct SatStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct Sat {
-    clauses: Vec<Clause>,
+    /// Every stored clause, back to back: a length word, then that many
+    /// literal codes. A clause is named by the offset of its length word.
+    arena: Vec<u32>,
+    num_clauses: usize,
     watches: Vec<Vec<Watch>>,
-    assigns: Vec<LBool>,
+    /// Value of each literal, indexed by [`Lit::code`]; a variable's two
+    /// literals always hold opposite values or are both undefined.
+    values: Vec<LBool>,
     phase: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<i64>, // -1 = decision/none
+    reason: Vec<u32>, // arena offset, or NO_REASON
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -250,6 +311,7 @@ pub struct Sat {
 
 const VAR_DECAY: f64 = 1.0 / 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
+const RESCALE_FACTOR: f64 = 1e-100;
 
 impl Sat {
     /// Creates an empty solver.
@@ -263,28 +325,29 @@ impl Sat {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> SatVar {
-        let v = SatVar(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = SatVar(self.phase.len() as u32);
+        self.values.push(LBool::Undef);
+        self.values.push(LBool::Undef);
         self.phase.push(false);
         self.level.push(0);
-        self.reason.push(-1);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.grow(self.assigns.len());
-        self.order.insert(v, &self.activity);
+        self.order.grow(self.phase.len());
+        self.order.insert(v, 0.0);
         v
     }
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.phase.len()
     }
 
     /// Number of clauses (original + learned).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Solver statistics so far.
@@ -292,28 +355,8 @@ impl Sat {
         self.stats
     }
 
-    fn value_var(&self, v: SatVar) -> LBool {
-        self.assigns[v.0 as usize]
-    }
-
     fn value_lit(&self, l: Lit) -> LBool {
-        match self.value_var(l.var()) {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_pos() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-            LBool::False => {
-                if l.is_pos() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-        }
+        self.values[l.code()]
     }
 
     fn decision_level(&self) -> u32 {
@@ -352,21 +395,24 @@ impl Sat {
                 false
             }
             1 => {
-                self.enqueue(c[0], -1);
+                self.enqueue(c[0], NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach(c);
+                self.attach(&c);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>) -> u32 {
-        let cref = self.clauses.len() as u32;
+    /// Appends `lits` to the arena and watches its first two literals.
+    fn attach(&mut self, lits: &[Lit]) -> u32 {
+        let cref = u32::try_from(self.arena.len()).expect("clause arena exceeds u32 offsets");
+        self.arena.push(lits.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
         self.watches[lits[0].code()].push(Watch {
             clause: cref,
             blocker: lits[1],
@@ -375,18 +421,15 @@ impl Sat {
             clause: cref,
             blocker: lits[0],
         });
-        self.clauses.push(Clause { lits });
+        self.num_clauses += 1;
         cref
     }
 
-    fn enqueue(&mut self, l: Lit, reason: i64) {
+    fn enqueue(&mut self, l: Lit, reason: u32) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
         let v = l.var().0 as usize;
-        self.assigns[v] = if l.is_pos() {
-            LBool::True
-        } else {
-            LBool::False
-        };
+        self.values[l.code()] = LBool::True;
+        self.values[l.negate().code()] = LBool::False;
         self.phase[v] = l.is_pos();
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
@@ -408,26 +451,28 @@ impl Sat {
                     i += 1;
                     continue;
                 }
+                // The clause's literals follow its length word. While `lits`
+                // borrows the arena, values are read from the field directly.
                 let cref = w.clause as usize;
+                let len = self.arena[cref] as usize;
+                let lits = &mut self.arena[cref + 1..cref + 1 + len];
                 // Maintain invariant: the false literal sits at position 1.
-                if self.clauses[cref].lits[0] == false_lit {
-                    self.clauses[cref].lits.swap(0, 1);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses[cref].lits[1], false_lit);
-                let first = self.clauses[cref].lits[0];
-                if first != w.blocker && self.value_lit(first) == LBool::True {
+                debug_assert_eq!(lits[1], false_lit.0);
+                let first = Lit(lits[0]);
+                if first != w.blocker && self.values[first.code()] == LBool::True {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                let len = self.clauses[cref].lits.len();
                 for k in 2..len {
-                    let lk = self.clauses[cref].lits[k];
-                    if self.value_lit(lk) != LBool::False {
-                        self.clauses[cref].lits.swap(1, k);
-                        let new_watch = self.clauses[cref].lits[1];
-                        self.watches[new_watch.code()].push(Watch {
+                    let lk = Lit(lits[k]);
+                    if self.values[lk.code()] != LBool::False {
+                        lits.swap(1, k);
+                        self.watches[lk.code()].push(Watch {
                             clause: w.clause,
                             blocker: first,
                         });
@@ -441,7 +486,7 @@ impl Sat {
                     self.qhead = self.trail.len();
                     break;
                 }
-                self.enqueue(first, w.clause as i64);
+                self.enqueue(first, w.clause);
                 i += 1;
             }
             self.watches[false_lit.code()] = ws;
@@ -457,11 +502,12 @@ impl Sat {
         *a += self.var_inc;
         if *a > RESCALE_LIMIT {
             for act in &mut self.activity {
-                *act *= 1e-100;
+                *act *= RESCALE_FACTOR;
             }
-            self.var_inc *= 1e-100;
+            self.order.rescale(RESCALE_FACTOR);
+            self.var_inc *= RESCALE_FACTOR;
         }
-        self.order.bumped(v, &self.activity);
+        self.order.bumped(v, self.activity[v.0 as usize]);
     }
 
     /// 1UIP conflict analysis. Returns the learned clause (asserting literal
@@ -474,9 +520,9 @@ impl Sat {
         let cur_level = self.decision_level();
         loop {
             let start = usize::from(p.is_some());
-            let lits_len = self.clauses[confl as usize].lits.len();
-            for k in start..lits_len {
-                let q = self.clauses[confl as usize].lits[k];
+            let base = confl as usize + 1;
+            for k in base + start..base + self.arena[base - 1] as usize {
+                let q = Lit(self.arena[k]);
                 let v = q.var();
                 let vi = v.0 as usize;
                 if !self.seen[vi] && self.level[vi] > 0 {
@@ -504,7 +550,8 @@ impl Sat {
                 p = Some(pl);
                 break;
             }
-            confl = u32::try_from(self.reason[v]).expect("implied literal must have a reason");
+            confl = self.reason[v];
+            assert_ne!(confl, NO_REASON, "implied literal must have a reason");
             p = Some(pl);
         }
         learnt[0] = p.expect("asserting literal").negate();
@@ -538,9 +585,10 @@ impl Sat {
         for i in (lim..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var();
-            self.assigns[v.0 as usize] = LBool::Undef;
-            self.reason[v.0 as usize] = -1;
-            self.order.insert(v, &self.activity);
+            self.values[l.code()] = LBool::Undef;
+            self.values[l.negate().code()] = LBool::Undef;
+            self.reason[v.0 as usize] = NO_REASON;
+            self.order.insert(v, self.activity[v.0 as usize]);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
@@ -552,8 +600,8 @@ impl Sat {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.value_var(v) == LBool::Undef {
+        while let Some(v) = self.order.pop_max() {
+            if self.value_lit(Lit::pos(v)) == LBool::Undef {
                 return Some(Lit::new(v, self.phase[v.0 as usize]));
             }
         }
@@ -639,11 +687,10 @@ impl Sat {
                 let (learnt, bt) = self.analyze(confl);
                 self.backtrack(bt);
                 if learnt.len() == 1 {
-                    self.enqueue(learnt[0], -1);
+                    self.enqueue(learnt[0], NO_REASON);
                 } else {
-                    let asserting = learnt[0];
-                    let cref = self.attach(learnt);
-                    self.enqueue(asserting, cref as i64);
+                    let cref = self.attach(&learnt);
+                    self.enqueue(learnt[0], cref);
                 }
                 self.var_inc *= VAR_DECAY;
                 if conflicts_this_restart >= restart_budget {
@@ -679,7 +726,7 @@ impl Sat {
                     Some(l) => {
                         self.stats.decisions += 1;
                         self.new_decision_level();
-                        self.enqueue(l, -1);
+                        self.enqueue(l, NO_REASON);
                     }
                 }
             }
@@ -691,7 +738,7 @@ impl Sat {
     /// Unassigned variables (possible after `Sat` when a variable is not
     /// constrained) read as `false`.
     pub fn model_value(&self, v: SatVar) -> bool {
-        matches!(self.value_var(v), LBool::True)
+        self.value_lit(Lit::pos(v)) == LBool::True
     }
 }
 

@@ -163,6 +163,13 @@ struct SolverMetrics {
     unsat: metrics::Counter,
     unknown: metrics::Counter,
     query_ns: metrics::Histogram,
+    /// SAT-core work per query: the deltas of [`SatStats`].
+    decisions: metrics::Counter,
+    propagations: metrics::Counter,
+    conflicts: metrics::Counter,
+    /// CNF that blasting a query's assumptions created.
+    cnf_vars: metrics::Counter,
+    cnf_clauses: metrics::Counter,
 }
 
 impl SolverMetrics {
@@ -173,6 +180,11 @@ impl SolverMetrics {
             unsat: metrics::counter("solver.unsat"),
             unknown: metrics::counter("solver.unknown"),
             query_ns: metrics::histogram("solver.query_ns"),
+            decisions: metrics::counter("solver.sat.decisions"),
+            propagations: metrics::counter("solver.sat.propagations"),
+            conflicts: metrics::counter("solver.sat.conflicts"),
+            cnf_vars: metrics::counter("solver.cnf.vars"),
+            cnf_clauses: metrics::counter("solver.cnf.clauses"),
         }
     }
 }
@@ -266,12 +278,25 @@ impl BvSolver {
                 return SatResult::Unknown;
             }
         }
-        let lits: Vec<Lit> = assumptions
-            .iter()
-            .map(|&t| self.blaster.blast_bool(pool, t))
-            .collect();
+        let m = self.metrics;
+        let before = self.blaster.sat_ref().stats();
+        let (vars0, clauses0) = self.cnf_size();
+        let lits: Vec<Lit> = {
+            let _blast = pokemu_rt::span!("solver.blast");
+            assumptions
+                .iter()
+                .map(|&t| self.blaster.blast_bool(pool, t))
+                .collect()
+        };
+        let (vars1, clauses1) = self.cnf_size();
+        m.cnf_vars.add((vars1 - vars0) as u64);
+        m.cnf_clauses.add((clauses1 - clauses0) as u64);
         let budget_ref = budget.is_bounded().then_some(&budget);
         let r = self.blaster.sat().solve_budgeted(&lits, budget_ref);
+        let after = self.blaster.sat_ref().stats();
+        m.decisions.add(after.decisions - before.decisions);
+        m.propagations.add(after.propagations - before.propagations);
+        m.conflicts.add(after.conflicts - before.conflicts);
         if let Some(span) = span {
             let el = span.finish();
             self.metrics.query_ns.record_duration(el);
@@ -308,8 +333,14 @@ impl BvSolver {
                 });
             }
         }
-        self.stats.sat_core = self.blaster.sat_ref().stats();
+        self.stats.sat_core = after;
         r
+    }
+
+    /// Variables and stored clauses of the SAT core so far.
+    fn cnf_size(&self) -> (usize, usize) {
+        let sat = self.blaster.sat_ref();
+        (sat.num_vars(), sat.num_clauses())
     }
 
     /// Like [`BvSolver::check`], returning a [`Model`] on satisfiability.

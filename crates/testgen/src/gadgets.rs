@@ -9,7 +9,7 @@
 //! sorts it. A cycle or an unsatisfiable side effect aborts generation with
 //! an error, mirroring the paper's "abort and ask for user assistance".
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pokemu_isa::asm::Asm;
 use pokemu_isa::state::{selector, Gpr, Seg};
@@ -134,7 +134,9 @@ impl GadgetPlan {
         let mut rank = 0u32;
         let mut scratched: Vec<Gpr> = Vec::new();
         let mut explicit_gpr: HashMap<Gpr, u32> = HashMap::new();
-        let mut seg_reloads: HashMap<Seg, u16> = HashMap::new();
+        // Ordered by `Seg`, so a state that reloads several segments emits
+        // them in one order whatever map instance collected them.
+        let mut seg_reloads: BTreeMap<Seg, u16> = BTreeMap::new();
 
         for item in &state.items {
             rank += 1;
@@ -372,6 +374,37 @@ mod tests {
             reload > mem,
             "descriptor bytes must be written before the reload"
         );
+    }
+
+    #[test]
+    fn segment_reloads_come_out_in_seg_order() {
+        // Descriptor-byte writes for four segments force four reloads. They
+        // must follow `Seg` order whatever order the items came in, in every
+        // plan built.
+        let segs = [Seg::Gs, Seg::Ss, Seg::Es, Seg::Cs];
+        for rotation in 0..segs.len() {
+            for _ in 0..8 {
+                let items = segs
+                    .iter()
+                    .cycle()
+                    .skip(rotation)
+                    .take(segs.len())
+                    .map(|&s| {
+                        let desc = layout::GDT_BASE + u32::from(layout::gdt_index(s)) * 8;
+                        StateItem::MemByte(desc + 5, 0x93)
+                    })
+                    .collect();
+                let plan = GadgetPlan::build(&TestState { items }).unwrap();
+                let reloads: Vec<Seg> = plan
+                    .items()
+                    .filter_map(|item| match *item {
+                        StateItem::Selector(s, _) => Some(s),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(reloads, [Seg::Es, Seg::Cs, Seg::Ss, Seg::Gs]);
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,12 @@ fi
 echo "== cargo test"
 cargo test --workspace --offline -q
 
+echo "== solver tests in release (no debug assertions, release arithmetic)"
+# The SAT core's brute-force tests and the search fingerprint again, built
+# the way the pipeline runs them: clause-arena offsets and watch invariants
+# are then checked by the answers alone, with no debug_assert to lean on.
+cargo test --release --offline -q -p pokemu-solver
+
 echo "== liftbench tests (the lifted-test benchmark of BENCHMARK.json)"
 cargo test --offline -q --manifest-path liftbench/Cargo.toml
 
@@ -61,6 +67,19 @@ for counter in target.lofi.runs solver.queries; do
     fi
     echo "$counter: $exported in both"
 done
+
+echo "== invalid path-end models (solver.model_invalid must be 0)"
+# Exploration re-evaluates each path condition under its path-end model
+# while minimizing it and counts every model that violates it: a blaster or
+# SAT-core bug caught in a production run. A missing counter means the
+# check did not run.
+invalid=$(grep -o '"solver\.model_invalid":[0-9]*' target/run/smoke/manifest.json \
+    | head -n 1 | grep -o '[0-9]*$' || true)
+if [ "$invalid" != "0" ]; then
+    echo "ERROR: solver.model_invalid is ${invalid:-missing} in the smoke manifest" >&2
+    exit 1
+fi
+echo "solver.model_invalid: 0"
 
 echo "== perf attribution gate"
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- perf --check --top 5
