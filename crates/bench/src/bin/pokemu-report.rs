@@ -36,10 +36,12 @@
 //! default mode prints too, from one function over the `pipeline.run` span
 //! and its stage spans (`--check` requires ≥95% of the run span attributed
 //! to its four top-level stages), the lofi/hifi throughput ratio over the
-//! run's `target.*` spans, the hottest lo-fi translation blocks, and solver
-//! time by query origin. `bench` gates the `pokemu-bench` workload results
-//! against the committed baselines in `tests/baselines/bench/`: counts must
-//! match exactly, ratios must stay inside their bands.
+//! run's `target.*` spans (`--check` fails on an e3 inversion: a median
+//! Lo-Fi run slower than a median Hi-Fi run), the hottest lo-fi translation
+//! blocks, and solver time by query origin. `bench` gates the `pokemu-bench`
+//! workload results against the committed baselines in
+//! `tests/baselines/bench/`: counts must match exactly, ratios must stay
+//! inside their bands.
 //!
 //! `compare`, `trend`, and `history` operate over the run ledger
 //! (`target/history/ledger.jsonl`, DESIGN.md §12): `compare` diffs two
@@ -167,6 +169,17 @@ fn ms(us: f64) -> String {
     format!("{:.3} ms", us / 1000.0)
 }
 
+/// The mean of `xs`, 0 when empty.
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len().max(1) as f64
+}
+
+/// The middle value of ascending `xs` (the upper one of an even count), 0
+/// when empty.
+fn median(xs: &[f64]) -> f64 {
+    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
+}
+
 fn pct(part: f64, whole: f64) -> f64 {
     if whole <= 0.0 {
         0.0
@@ -238,12 +251,12 @@ impl Report {
         }
     }
 
-    /// `(spans, mean µs)` of the `target.<target>` spans that started inside
-    /// a `pipeline.run` span, on any thread: the run's emulator executions,
-    /// not the whole process's.
-    fn target_runs(&self, target: &str) -> (usize, f64) {
+    /// Durations (µs, ascending) of the `target.<target>` spans that started
+    /// inside a `pipeline.run` span, on any thread: the run's emulator
+    /// executions, not the whole process's.
+    fn target_spans(&self, target: &str) -> Vec<f64> {
         let name = format!("target.{target}");
-        let in_run: Vec<f64> = self
+        let mut in_run: Vec<f64> = self
             .spans
             .iter()
             .filter(|s| {
@@ -254,8 +267,8 @@ impl Report {
             })
             .map(|s| s.dur_us)
             .collect();
-        let mean = in_run.iter().sum::<f64>() / in_run.len().max(1) as f64;
-        (in_run.len(), mean)
+        in_run.sort_by(f64::total_cmp);
+        in_run
     }
 
     fn print(&self, top: usize) {
@@ -382,25 +395,30 @@ impl Report {
         println!("== wall-time attribution (pipeline.run stage spans)");
         self.attribution().print();
 
-        println!("== emulator throughput (mean per run_program)");
-        let (_, hifi) = self.target_runs("hifi");
-        let (lofi_runs, lofi) = self.target_runs("lofi");
-        let (_, hw) = self.target_runs("hardware");
+        println!("== emulator throughput (per run_program)");
+        let [hifi, lofi, hw] = ["hifi", "lofi", "hardware"].map(|t| self.target_spans(t));
         println!(
-            "  hifi {:>12}  lofi {:>12}  hardware {:>12}  ({lofi_runs} runs each side)",
-            ms(hifi),
-            ms(lofi),
-            ms(hw),
+            "  mean    hifi {:>12}  lofi {:>12}  hardware {:>12}",
+            ms(mean(&hifi)),
+            ms(mean(&lofi)),
+            ms(mean(&hw)),
         );
-        if lofi > 0.0 {
-            let r = hifi / lofi;
+        println!(
+            "  median  hifi {:>12}  lofi {:>12}  hardware {:>12}",
+            ms(median(&hifi)),
+            ms(median(&lofi)),
+            ms(median(&hw)),
+        );
+        println!("  ({} runs each side)", lofi.len());
+        if !lofi.is_empty() {
+            let r = median(&hifi) / median(&lofi);
             if r < 1.0 {
                 println!(
-                    "  hifi/lofi ratio {r:.3}  (WARNING — e3 inversion: the lo-fi DBT is \
-                     SLOWER than the hi-fi interpreter here)"
+                    "  hifi/lofi median ratio {r:.3}  (WARNING — e3 inversion: the lo-fi DBT \
+                     is SLOWER than the hi-fi interpreter here)"
                 );
             } else {
-                println!("  hifi/lofi ratio {r:.3}  (lofi {r:.1}x hifi, no e3 inversion)");
+                println!("  hifi/lofi median ratio {r:.3}  (lofi {r:.1}x hifi, no e3 inversion)");
             }
         }
 
@@ -449,7 +467,12 @@ impl Report {
 
     /// `perf --check` gate: the run's stage spans must cover ≥95% of its
     /// `pipeline.run` span — anything less means a stage is running outside
-    /// the attribution (a new unattributed phase crept in).
+    /// the attribution (a new unattributed phase crept in) — and the median
+    /// Lo-Fi run must take no longer than the median Hi-Fi run (no e3
+    /// inversion). Medians, because each target's first run in a process
+    /// builds its post-baseline template, and on the 17-test smoke run one
+    /// such run stalled by a few milliseconds moves a mean by more than a
+    /// whole Lo-Fi run costs.
     fn check_perf(&self) -> Result<(), String> {
         let a = self.attribution();
         if a.run_us <= 0.0 {
@@ -466,6 +489,23 @@ impl Report {
                 100.0 * frac,
                 ms(a.attributed_us()),
                 ms(a.run_us)
+            ));
+        }
+        let (hifi, lofi) = (self.target_spans("hifi"), self.target_spans("lofi"));
+        if hifi.is_empty() || lofi.is_empty() {
+            return Err(format!(
+                "no e3 inversion check without target runs: {} target.hifi and {} \
+                 target.lofi spans in the run",
+                hifi.len(),
+                lofi.len()
+            ));
+        }
+        if median(&lofi) > median(&hifi) {
+            return Err(format!(
+                "e3 inversion: the median target.lofi span ({}) exceeds the median \
+                 target.hifi span ({})",
+                ms(median(&lofi)),
+                ms(median(&hifi))
             ));
         }
         Ok(())
@@ -517,7 +557,7 @@ impl Report {
             .iter()
             .map(|(name, us)| format!("\"{}\":{}", escape(name), jnum(us * 1000.0)))
             .collect();
-        let target_mean_ns = |target: &str| jnum(self.target_runs(target).1 * 1000.0);
+        let target_mean_ns = |target: &str| jnum(mean(&self.target_spans(target)) * 1000.0);
         let hot_rows: Vec<String> = hot
             .iter()
             .take(top)
@@ -609,7 +649,7 @@ const PERF_VIEW: View = View {
     usage: "usage: pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check] [--json]",
     gate: "perf check",
     check: Report::check_perf,
-    passed: "≥95% of pipeline wall time attributed",
+    passed: "≥95% of pipeline wall time attributed, no e3 inversion",
     json: Report::perf_json,
     text: Report::print_perf,
 };
@@ -1983,4 +2023,67 @@ fn main() -> ExitCode {
         _ => {}
     }
     cmd_view(&REPORT_VIEW, first, &mut args)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(name: &str, id: u64, parent: u64, ts_us: f64, dur_us: f64) -> Span {
+        Span {
+            name: name.to_owned(),
+            id,
+            parent,
+            tid: 0,
+            ts_us,
+            dur_us,
+            insn: None,
+        }
+    }
+
+    /// A fully attributed run with these Hi-Fi and Lo-Fi target spans, plus
+    /// a slow Lo-Fi span outside the run that must not count.
+    fn run(hifi_us: &[f64], lofi_us: &[f64]) -> Report {
+        let mut spans = vec![span("pipeline.run", 1, 0, 0.0, 1000.0)];
+        for (i, name) in RUN_STAGES.iter().enumerate() {
+            spans.push(span(name, 2 + i as u64, 1, 250.0 * i as f64, 250.0));
+        }
+        for (i, (name, us)) in hifi_us
+            .iter()
+            .map(|&us| ("target.hifi", us))
+            .chain(lofi_us.iter().map(|&us| ("target.lofi", us)))
+            .enumerate()
+        {
+            spans.push(span(name, 10 + i as u64, 4, 500.0 + i as f64, us));
+        }
+        spans.push(span("target.lofi", 99, 0, 2000.0, 500.0));
+        Report {
+            spans,
+            thread_names: BTreeMap::new(),
+            metrics: MetricsSnapshot::default(),
+        }
+    }
+
+    #[test]
+    fn perf_check_fails_on_the_e3_inversion() {
+        let hifi = [20.0, 22.0, 24.0];
+        // One slow Lo-Fi run (a template build) leaves the median alone.
+        assert_eq!(run(&hifi, &[10.0, 12.0, 400.0]).check_perf(), Ok(()));
+        let err = run(&hifi, &[25.0, 26.0, 5.0]).check_perf().unwrap_err();
+        assert!(err.starts_with("e3 inversion"), "{err}");
+        assert!(
+            err.contains("(0.025 ms)") && err.contains("(0.022 ms)"),
+            "{err}"
+        );
+        let err = run(&hifi, &[]).check_perf().unwrap_err();
+        assert!(err.contains("0 target.lofi spans"), "{err}");
+    }
+
+    #[test]
+    fn perf_check_fails_on_unattributed_time() {
+        let mut r = run(&[20.0], &[10.0]);
+        r.spans.retain(|s| s.name != "stage.analyze");
+        let err = r.check_perf().unwrap_err();
+        assert!(err.contains("75.0% of pipeline wall time"), "{err}");
+    }
 }

@@ -322,23 +322,34 @@ pub fn explore_state_space(
 }
 
 /// Converts a state-space exploration into runnable test programs
-/// (paper §4: one test program per explored path).
+/// (paper §4: one test program per explored path). A path whose program
+/// fails to build is counted as `testgen.build_failures` and leaves a
+/// flight note naming the test, the path and the error.
 pub fn to_test_programs(space: &StateSpace, name_prefix: &str) -> Vec<TestProgram> {
+    // Resolved up front so the run manifest lists the counter even at 0.
+    let build_failures = metrics::counter("testgen.build_failures");
     space
         .paths
         .iter()
         .enumerate()
         .filter_map(|(i, p)| {
-            TestProgram::build(
-                format!("{name_prefix}/path{i}"),
-                p.state.clone(),
-                &space.insn,
-            )
-            .ok()
-            .map(|mut prog| {
-                prog.path_id = p.path_id;
-                prog
-            })
+            let name = format!("{name_prefix}/path{i}");
+            match TestProgram::build(name, p.state.clone(), &space.insn) {
+                Ok(mut prog) => {
+                    prog.path_id = p.path_id;
+                    Some(prog)
+                }
+                Err(e) => {
+                    build_failures.inc();
+                    pokemu_rt::flight::note("testgen.build_failure", || {
+                        format!(
+                            "test={name_prefix}/path{i} path={:016x} error={e}",
+                            p.path_id
+                        )
+                    });
+                    None
+                }
+            }
         })
         .collect()
 }
@@ -432,6 +443,39 @@ mod tests {
         assert!(c.contains(&"esp".to_owned()), "{c:?}");
         assert!(!c.contains(&"ebx".to_owned()), "{c:?}");
         assert!(!c.contains(&"eflags".to_owned()), "{c:?}");
+    }
+
+    #[test]
+    fn unbuildable_paths_are_counted_and_noted() {
+        // An empty test instruction has no program to build.
+        let space = StateSpace {
+            insn: Vec::new(),
+            paths: vec![PathTest {
+                end: PathEnd::Retired,
+                state: TestState { items: Vec::new() },
+                pc_len: 0,
+                path_id: 0xabc,
+                clobbers: Vec::new(),
+                minimize: MinimizeStats::default(),
+            }],
+            complete: true,
+            solver_queries: 0,
+            unknown_queries: 0,
+            infeasible_paths: 0,
+        };
+        pokemu_rt::flight::set_enabled(true);
+        let before = metrics::snapshot();
+        assert!(to_test_programs(&space, "empty").is_empty());
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(delta.counter("testgen.build_failures"), 1);
+        let note = pokemu_rt::flight::snapshot()
+            .into_iter()
+            .find(|e| e.name == "testgen.build_failure")
+            .expect("a flight note");
+        assert_eq!(
+            note.detail,
+            "test=empty/path0 path=0000000000000abc error=empty test instruction"
+        );
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl Emulator for Lofi {
         Lofi::fork(self)
     }
     fn take_memory(&mut self) -> PagedMem {
-        PagedMem::from_flat(&std::mem::take(&mut self.machine_mut().ram))
+        std::mem::take(&mut self.machine_mut().ram).to_mem()
     }
 }
 

@@ -34,18 +34,19 @@ pub struct PagedMem {
 }
 
 impl PagedMem {
-    /// Copies a flat RAM image (byte `i` at address `i`), keeping only the
-    /// pages with content.
-    pub fn from_flat(ram: &[u8]) -> PagedMem {
-        let mut pages = Vec::new();
-        for (pno, chunk) in ram.chunks(PAGE_SIZE).enumerate() {
-            // Guest RAM is almost entirely zero; the OR-reduce vectorizes.
-            if chunk.iter().fold(0, |acc, &b| acc | b) != 0 {
-                let mut page = Box::new([0; PAGE_SIZE]);
-                page[..chunk.len()].copy_from_slice(chunk);
-                pages.push((pno as u32, page));
-            }
-        }
+    /// Copies the pages with content from `(base address, page)` pairs in
+    /// ascending address order, as a paged guest RAM holds them.
+    pub fn from_pages<'a>(pages: impl IntoIterator<Item = (u32, &'a [u8; PAGE_SIZE])>) -> PagedMem {
+        let pages = pages
+            .into_iter()
+            // The OR-reduce vectorizes.
+            .filter(|(_, page)| page.iter().fold(0, |acc, &b| acc | b) != 0)
+            .map(|(base, page)| (base >> PAGE_SHIFT, Box::new(*page)))
+            .collect::<Vec<_>>();
+        debug_assert!(
+            pages.windows(2).all(|w| w[0].0 < w[1].0),
+            "pages must ascend"
+        );
         PagedMem { pages }
     }
 

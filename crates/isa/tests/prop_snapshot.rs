@@ -5,12 +5,12 @@ use std::collections::BTreeMap;
 
 use pokemu_isa::snapshot::{Outcome, PagedMem, Snapshot, PAGE_SIZE};
 use pokemu_isa::state::{Gpr, Machine, Seg};
+use pokemu_lofi::{Fidelity, Lofi, RunExit};
 use pokemu_rt::prop::Gen;
 use pokemu_symx::{Concrete, Dom};
 
-/// Length of the flat RAM image the writes land in: twelve full pages and
-/// a partial thirteenth.
-const FLAT_LEN: usize = 12 * PAGE_SIZE + 40;
+/// Bytes the writes land in: twelve full pages and a partial thirteenth.
+const MEM_LEN: usize = 12 * PAGE_SIZE + 40;
 
 /// The `BTreeMap` diff the paged format replaced, kept as the reference;
 /// `a_mem` and `b_mem` hold each snapshot's non-zero bytes.
@@ -108,13 +108,13 @@ impl Writes {
         Snapshot::capture(&mut d, &m, Outcome::Halted)
     }
 
-    /// Captures the writes through a flat RAM image, as Lo-Fi does.
-    fn flat(&self) -> PagedMem {
-        let mut ram = vec![0u8; FLAT_LEN];
+    /// Captures the writes through Lo-Fi's paged RAM.
+    fn lofi(&self) -> PagedMem {
+        let mut emu = Lofi::new(Fidelity::QEMU_LIKE);
         for &(addr, b) in &self.0 {
-            ram[addr as usize] = b;
+            emu.machine_mut().phys_write(addr, b as u32, 1);
         }
-        PagedMem::from_flat(&ram)
+        emu.snapshot(RunExit::Halted).mem
     }
 }
 
@@ -125,7 +125,7 @@ fn address(g: &mut Gen) -> u32 {
         0 => *g.choose(&[0, 1, PAGE_SIZE as u32 - 2, PAGE_SIZE as u32 - 1]),
         _ => g.range(0..PAGE_SIZE as u32),
     };
-    (page * PAGE_SIZE as u32 + offset) % FLAT_LEN as u32
+    (page * PAGE_SIZE as u32 + offset) % MEM_LEN as u32
 }
 
 /// A base image: random bytes, some of them zeros written over earlier
@@ -197,7 +197,7 @@ fn mutate(g: &mut Gen, a: &Writes) -> Writes {
             if !free.is_empty() {
                 let page = *g.choose(&free) * PAGE_SIZE as u32;
                 for _ in 0..g.range(1..12u8) {
-                    let addr = (page + g.range(0..PAGE_SIZE as u32)) % FLAT_LEN as u32;
+                    let addr = (page + g.range(0..PAGE_SIZE as u32)) % MEM_LEN as u32;
                     b.0.push((addr, g.range(1..=255u8)));
                 }
             }
@@ -230,7 +230,7 @@ pokemu_rt::prop! {
         let w = base_writes(g);
         let map = w.map();
         let snap = w.capture();
-        assert_eq!(snap.mem, w.flat(), "Memory and flat captures agree");
+        assert_eq!(snap.mem, w.lofi(), "Memory and Lo-Fi captures agree");
         let paged: Vec<(u32, u8)> = snap.mem.iter().collect();
         let reference: Vec<(u32, u8)> = map.iter().map(|(&a, &b)| (a, b)).collect();
         assert_eq!(paged, reference, "iter() yields the map's order");

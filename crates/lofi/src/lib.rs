@@ -12,6 +12,9 @@
 //!   DESIGN.md §11);
 //! * a softmmu with a TLB serves memory accesses through a *fast path that
 //!   skips segmentation checks* ([`mmu`]);
+//! * guest RAM is a table of 4-KiB pages, each allocated on its first
+//!   non-zero write ([`state::Ram`]), so a forked run touches only its own
+//!   pages;
 //! * EFLAGS are lazy ([`state::CcState`]), materialized on demand;
 //! * complex instructions run as out-of-line helpers ([`exec`]).
 //!
@@ -41,8 +44,8 @@ use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::{Mutex, OnceLock};
 
-use pokemu_isa::snapshot::{Outcome, PagedMem, SegSnapshot, Snapshot};
-use pokemu_isa::state::{Exception, PHYS_MEM_SIZE};
+use pokemu_isa::snapshot::{Outcome, SegSnapshot, Snapshot};
+use pokemu_isa::state::Exception;
 use pokemu_rt::metrics;
 
 pub use exec::{Core, TbExit};
@@ -315,10 +318,10 @@ impl Lofi {
         }
     }
 
-    /// A copy of this emulator over fresh, zero-filled RAM: registers,
+    /// A copy of this emulator over RAM with no page allocated: registers,
     /// TLB and translated blocks carry over; execution counts, statistics
     /// and counters start at zero. The harness forks every test run from a
-    /// post-baseline template this way and loads the template's memory
+    /// post-baseline template this way and loads the template's pages
     /// itself.
     pub fn fork(&self) -> Lofi {
         let live = |live: &LiveTb| LiveTb {
@@ -328,7 +331,7 @@ impl Lofi {
         Lofi {
             core: Core {
                 m: LofiMachine {
-                    ram: vec![0; PHYS_MEM_SIZE as usize],
+                    ram: state::Ram::new(),
                     ..self.core.m
                 },
                 tlb: self.core.tlb.clone(),
@@ -357,15 +360,7 @@ impl Lofi {
 
     /// Loads raw bytes into guest RAM (wrapping at its end).
     pub fn load_image(&mut self, addr: u32, bytes: &[u8]) {
-        let ram = &mut self.core.m.ram;
-        let mut at = addr as usize % ram.len();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let n = rest.len().min(ram.len() - at);
-            ram[at..at + n].copy_from_slice(&rest[..n]);
-            rest = &rest[n..];
-            at = 0;
-        }
+        self.core.m.ram.load(addr, bytes);
     }
 
     /// Sets the instruction pointer.
@@ -499,9 +494,7 @@ impl Lofi {
             cr4: m.cr4,
             gdtr: m.gdtr,
             idtr: m.idtr,
-            // Guest RAM is one flat, almost entirely zero allocation: only
-            // the 4-KiB pages with content are copied.
-            mem: PagedMem::from_flat(&m.ram),
+            mem: m.ram.to_mem(),
             outcome: exit.outcome(),
         }
     }
@@ -609,7 +602,11 @@ mod tests {
         assert_eq!(emu.run(64), RunExit::Halted);
         let mut fork = emu.fork();
         assert_eq!(fork.machine().eip, emu.machine().eip);
-        assert!(fork.machine().ram.iter().all(|&b| b == 0));
+        assert_eq!(
+            fork.machine().ram.pages().count(),
+            0,
+            "a fork holds no pages"
+        );
         assert!(fork.tb_exec_counts().is_empty());
         fork.load_image(0x1000, &code);
         fork.set_eip(0x1000);

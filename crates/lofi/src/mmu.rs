@@ -281,11 +281,7 @@ pub fn read(
 ) -> Result<u32, Exception> {
     let lin = seg_linear(m, fid, seg, off, len, Access::Read)?;
     let (p0, p1) = translate_span(m, tlb, lin, len, Access::Read)?;
-    let mut v = 0u32;
-    for i in 0..len {
-        v |= (m.phys_read(byte_phys(lin, i, p0, p1), 1)) << (i * 8);
-    }
-    Ok(v)
+    Ok(phys_load(m, lin, len, p0, p1))
 }
 
 /// Writes `len` bytes of virtual memory via the fast path.
@@ -305,10 +301,7 @@ pub fn write(
 ) -> Result<u32, Exception> {
     let lin = seg_linear(m, fid, seg, off, len, Access::Write)?;
     let (p0, p1) = translate_span(m, tlb, lin, len, Access::Write)?;
-    for i in 0..len {
-        let a = byte_phys(lin, i, p0, p1);
-        m.phys_write(a, (val >> (i * 8)) & 0xff, 1);
-    }
+    phys_store(m, lin, val, len, p0, p1);
     tlb.note_store((p0 % pokemu_isa::state::PHYS_MEM_SIZE) >> 12);
     if let Some(p1) = p1 {
         tlb.note_store((p1 % pokemu_isa::state::PHYS_MEM_SIZE) >> 12);
@@ -323,11 +316,7 @@ pub fn write(
 /// #PF from the page walk.
 pub fn lin_read(m: &mut LofiMachine, tlb: &mut Tlb, lin: u32, len: u8) -> Result<u32, Exception> {
     let (p0, p1) = translate_span(m, tlb, lin, len, Access::Read)?;
-    let mut v = 0u32;
-    for i in 0..len {
-        v |= (m.phys_read(byte_phys(lin, i, p0, p1), 1)) << (i * 8);
-    }
-    Ok(v)
+    Ok(phys_load(m, lin, len, p0, p1))
 }
 
 /// Writes at a linear address, bypassing segmentation.
@@ -343,10 +332,7 @@ pub fn lin_write(
     len: u8,
 ) -> Result<(), Exception> {
     let (p0, p1) = translate_span(m, tlb, lin, len, Access::Write)?;
-    for i in 0..len {
-        let a = byte_phys(lin, i, p0, p1);
-        m.phys_write(a, (val >> (i * 8)) & 0xff, 1);
-    }
+    phys_store(m, lin, val, len, p0, p1);
     tlb.note_store((p0 % pokemu_isa::state::PHYS_MEM_SIZE) >> 12);
     if let Some(p1) = p1 {
         tlb.note_store((p1 % pokemu_isa::state::PHYS_MEM_SIZE) >> 12);
@@ -384,6 +370,29 @@ fn translate_span(
     }
     let p1 = translate(m, tlb, (last >> 12) << 12, kind)?;
     Ok((p0, Some(p1)))
+}
+
+/// Reads a translated span: one RAM access when it stays in one page,
+/// byte by byte across the two pages otherwise.
+fn phys_load(m: &LofiMachine, lin: u32, len: u8, p0: u32, p1: Option<u32>) -> u32 {
+    match p1 {
+        None => m.phys_read(p0, len),
+        Some(_) => (0..len).fold(0, |v, i| {
+            v | m.phys_read(byte_phys(lin, i, p0, p1), 1) << (i * 8)
+        }),
+    }
+}
+
+/// Writes a translated span, split like [`phys_load`].
+fn phys_store(m: &mut LofiMachine, lin: u32, val: u32, len: u8, p0: u32, p1: Option<u32>) {
+    match p1 {
+        None => m.phys_write(p0, val, len),
+        Some(_) => {
+            for i in 0..len {
+                m.phys_write(byte_phys(lin, i, p0, p1), val >> (i * 8), 1);
+            }
+        }
+    }
 }
 
 fn byte_phys(lin: u32, i: u8, p0: u32, p1: Option<u32>) -> u32 {

@@ -3,11 +3,15 @@
 //!
 //! Unlike the Hi-Fi emulator, which shares the reference interpreter, the
 //! Lo-Fi emulator is an entirely separate implementation in the mold of
-//! QEMU: plain `u32` state, guest RAM as one flat allocation, and EFLAGS
-//! kept *lazily* as the operands/result of the last flag-setting operation,
-//! materialized only when read. Lazy flags are one authentic source of the
-//! undefined-flag differences the paper observes (§6.2).
+//! QEMU: plain `u32` state, guest RAM as a table of 4-KiB pages allocated
+//! on first non-zero write ([`Ram`]), and EFLAGS kept *lazily* as the
+//! operands/result of the last flag-setting operation, materialized only
+//! when read. Lazy flags are one authentic source of the undefined-flag
+//! differences the paper observes (§6.2).
 
+use std::fmt;
+
+use pokemu_isa::snapshot::{PagedMem, PAGE_SIZE};
 use pokemu_isa::state::flags as fl;
 use pokemu_isa::state::PHYS_MEM_SIZE;
 
@@ -256,6 +260,126 @@ impl CcState {
     }
 }
 
+/// Pages of guest RAM.
+const PAGES: usize = PHYS_MEM_SIZE as usize / PAGE_SIZE;
+
+type Page = [u8; PAGE_SIZE];
+
+/// Guest RAM: a directly indexed table of 4-KiB pages. A page is allocated
+/// on its first non-zero write and an absent page reads as zero, so a run
+/// allocates, copies and scans only the pages it touches. Addresses wrap
+/// at [`PHYS_MEM_SIZE`].
+#[derive(Clone)]
+pub struct Ram {
+    pages: Box<[Option<Box<Page>>; PAGES]>,
+}
+
+impl Default for Ram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Prints the base addresses of the allocated pages.
+impl fmt::Debug for Ram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.pages().map(|(base, _)| base))
+            .finish()
+    }
+}
+
+impl Ram {
+    /// RAM with no page allocated: every byte reads as zero.
+    pub fn new() -> Self {
+        Ram {
+            pages: Box::new([const { None }; PAGES]),
+        }
+    }
+
+    /// Page number and in-page offset of `addr`, wrapped at the RAM size.
+    fn slot(addr: u32) -> (usize, usize) {
+        let a = (addr % PHYS_MEM_SIZE) as usize;
+        (a / PAGE_SIZE, a % PAGE_SIZE)
+    }
+
+    /// Reads `size` bytes little-endian; an access inside one page looks
+    /// the page up once.
+    pub fn read(&self, addr: u32, size: u8) -> u32 {
+        let (pno, off) = Self::slot(addr);
+        let end = off + size as usize;
+        if end > PAGE_SIZE {
+            return (0..size).fold(0, |v, i| {
+                v | self.read(addr.wrapping_add(i as u32), 1) << (i * 8)
+            });
+        }
+        match &self.pages[pno] {
+            Some(page) => page[off..end]
+                .iter()
+                .rev()
+                .fold(0, |v, &b| v << 8 | b as u32),
+            None => 0,
+        }
+    }
+
+    /// Writes the low `size` bytes of `val` little-endian, allocating the
+    /// page only when a written byte is non-zero. An access inside one page
+    /// looks the page up once.
+    pub fn write(&mut self, addr: u32, val: u32, size: u8) {
+        let (pno, off) = Self::slot(addr);
+        let end = off + size as usize;
+        if end > PAGE_SIZE {
+            for i in 0..size {
+                self.write(addr.wrapping_add(i as u32), val >> (i * 8), 1);
+            }
+            return;
+        }
+        let slot = &mut self.pages[pno];
+        if slot.is_none() && u64::from(val) & ((1 << (8 * size)) - 1) == 0 {
+            return;
+        }
+        // Byte stores rather than a slice copy: a copy of 1 to 4 bytes
+        // compiles to a `memcpy` call.
+        let page = slot.get_or_insert_with(|| Box::new([0; PAGE_SIZE]));
+        for (i, b) in page[off..end].iter_mut().enumerate() {
+            *b = (val >> (i * 8)) as u8;
+        }
+    }
+
+    /// Copies `bytes` in from `addr`, page by page, wrapping at the RAM
+    /// size. An absent page is allocated only for a non-zero chunk.
+    pub fn load(&mut self, addr: u32, bytes: &[u8]) {
+        let mut at = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let (pno, off) = Self::slot(at);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            let slot = &mut self.pages[pno];
+            if slot.is_some() || chunk.iter().any(|&b| b != 0) {
+                slot.get_or_insert_with(|| Box::new([0; PAGE_SIZE]))[off..off + chunk.len()]
+                    .copy_from_slice(chunk);
+            }
+            at = at.wrapping_add(chunk.len() as u32);
+            rest = tail;
+        }
+    }
+
+    /// The allocated pages as `(base address, page)`, in ascending address
+    /// order. A page whose bytes were all written back to zero is included.
+    pub fn pages(&self) -> impl Iterator<Item = (u32, &[u8; PAGE_SIZE])> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(pno, page)| Some(((pno * PAGE_SIZE) as u32, page.as_deref()?)))
+    }
+
+    /// The canonical snapshot image: a copy of every allocated page that
+    /// holds a non-zero byte.
+    pub fn to_mem(&self) -> PagedMem {
+        PagedMem::from_pages(self.pages())
+    }
+}
+
 /// One Lo-Fi segment register.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LofiSeg {
@@ -298,8 +422,8 @@ pub struct LofiMachine {
     pub msrs: [u32; 3],
     /// Time-stamp counter.
     pub tsc: u64,
-    /// Guest RAM, one flat allocation (QEMU-style).
-    pub ram: Vec<u8>,
+    /// Guest RAM, paged.
+    pub ram: Ram,
 }
 
 impl Default for LofiMachine {
@@ -309,7 +433,7 @@ impl Default for LofiMachine {
 }
 
 impl LofiMachine {
-    /// A zeroed machine with 4 MiB of RAM.
+    /// A zeroed machine whose 4 MiB of RAM has no page allocated yet.
     pub fn new() -> Self {
         LofiMachine {
             gpr: [0; 8],
@@ -325,7 +449,7 @@ impl LofiMachine {
             idtr: (0, 0),
             msrs: [0; 3],
             tsc: 0,
-            ram: vec![0; PHYS_MEM_SIZE as usize],
+            ram: Ram::new(),
         }
     }
 
@@ -354,20 +478,12 @@ impl LofiMachine {
 
     /// Reads physical memory (wrapping at the RAM size).
     pub fn phys_read(&self, addr: u32, size: u8) -> u32 {
-        let mut v = 0u32;
-        for i in 0..size {
-            let a = (addr.wrapping_add(i as u32) % PHYS_MEM_SIZE) as usize;
-            v |= (self.ram[a] as u32) << (i * 8);
-        }
-        v
+        self.ram.read(addr, size)
     }
 
     /// Writes physical memory (wrapping at the RAM size).
     pub fn phys_write(&mut self, addr: u32, val: u32, size: u8) {
-        for i in 0..size {
-            let a = (addr.wrapping_add(i as u32) % PHYS_MEM_SIZE) as usize;
-            self.ram[a] = (val >> (i * 8)) as u8;
-        }
+        self.ram.write(addr, val, size)
     }
 }
 

@@ -127,7 +127,7 @@ fn cmpxchg_accumulator_corruption() {
         // DS read-only (type 0x1).
         lo.machine_mut().segs[Seg::Ds as usize].attrs =
             0x1 | (1 << attrs::S as u16) | (1 << attrs::P as u16);
-        lo.machine_mut().ram[0x3000] = 7;
+        lo.machine_mut().phys_write(0x3000, 7, 1);
         lo.load_image(CODE, &code);
         let exit = lo.run(64);
         (exit, lo.machine().gpr[0])
@@ -191,7 +191,7 @@ fn accessed_flag_not_maintained() {
     lo.load_image(CODE, &code);
     assert_eq!(lo.run(16), LoExit::Halted);
     assert_eq!(
-        lo.machine().ram[(GDT + 16 + 5) as usize] & 1,
+        lo.machine().phys_read(GDT + 16 + 5, 1) & 1,
         0,
         "QEMU-like leaves it clear"
     );
@@ -204,7 +204,7 @@ fn accessed_flag_not_maintained() {
     lo.load_image(CODE, &code);
     assert_eq!(lo.run(16), LoExit::Halted);
     assert_eq!(
-        lo.machine().ram[(GDT + 16 + 5) as usize] & 1,
+        lo.machine().phys_read(GDT + 16 + 5, 1) & 1,
         1,
         "fixed sets it"
     );

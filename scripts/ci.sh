@@ -20,11 +20,13 @@ fi
 echo "== cargo test"
 cargo test --workspace --offline -q
 
-echo "== solver tests in release (no debug assertions, release arithmetic)"
+echo "== solver, Lo-Fi and ISA tests in release (no debug assertions, release arithmetic)"
 # The SAT core's brute-force tests and the search fingerprint again, built
 # the way the pipeline runs them: clause-arena offsets and watch invariants
 # are then checked by the answers alone, with no debug_assert to lean on.
-cargo test --release --offline -q -p pokemu-solver
+# Likewise Lo-Fi's page table and the snapshot pages: their page-number and
+# wrap arithmetic runs without overflow checks in release builds.
+cargo test --release --offline -q -p pokemu-solver -p pokemu-lofi -p pokemu-isa
 
 echo "== liftbench tests (the lifted-test benchmark of BENCHMARK.json)"
 cargo test --offline -q --manifest-path liftbench/Cargo.toml
@@ -41,8 +43,8 @@ echo "== trace + profile smoke (both pokemu_rt::trace sinks end to end)"
 # collapsed-stack .folded profile, the hot-TB table, and
 # target/run/smoke/manifest.json. pokemu-report --check gates on the trace
 # parsing, all five Fig.1 stage spans being present, and zero dropped trace
-# events; perf --check gates on ≥95% of the pipeline.run span being
-# attributed to its four top-level stage spans.
+# events; perf --check (below) gates on ≥95% of the pipeline.run span being
+# attributed to its four top-level stage spans and on the e3 inversion.
 POKEMU_TRACE=1 POKEMU_PROF=1 POKEMU_RUN_MANIFEST=1 POKEMU_RUN_ID=smoke \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- --check --top 5
@@ -51,9 +53,9 @@ test -s target/prof/cross_validation.folded \
 
 echo "== trace export carries the run's metrics (vs the run manifest)"
 # Both files come from the one smoke run above and both counters are
-# deterministic, so they must agree: the export and the manifest hold the
-# same run delta. (smoke-bench runs nothing before the pipeline, so here the
-# delta equals the process's totals.)
+# deterministic, so they must agree. smoke-bench runs nothing before the
+# pipeline, so here the run's delta equals the process's totals; the
+# trace_export_delta test checks that an export holds only its own run.
 for counter in target.lofi.runs solver.queries; do
     pattern="${counter//./\\.}"
     exported=$(grep -o "\"name\":\"$pattern\",\"value\":[0-9]*" \
@@ -81,7 +83,13 @@ if [ "$invalid" != "0" ]; then
 fi
 echo "solver.model_invalid: 0"
 
-echo "== perf attribution gate"
+echo "== perf attribution and e3 inversion gate"
+# perf --check fails if the run's stage spans cover less than 95% of
+# pipeline.run, or if the median target.lofi span is longer than the
+# median target.hifi span (the e3 inversion: the DBT slower than the
+# interpreter per lifted test). The median hifi/lofi reads well above 1 on
+# the smoke run; means are not gated, since one template build stalled by
+# a few ms moves a 17-run mean past 1.
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- perf --check --top 5
 
 echo "== attribution below the top level (explore.state_space self time)"
