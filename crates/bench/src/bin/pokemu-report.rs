@@ -58,7 +58,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use pokemu::harness::manifest as run_manifest;
+use pokemu::harness::record::{self, RunDoc};
+use pokemu::harness::Clusters;
 use pokemu_rt::coverage::MapSnapshot;
 use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::json::{self, escape, Value};
@@ -943,79 +944,30 @@ fn cmd_bench(args: &mut std::env::Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The decoded pieces of one `manifest.json` the diff gate compares.
-struct ManifestData {
-    run_id: String,
-    /// map name -> bitmap.
-    coverage: BTreeMap<String, MapSnapshot>,
-    /// target (`lofi`/`hifi`) -> sorted root-cause names.
-    clusters: BTreeMap<String, Vec<String>>,
-    deviations: usize,
-    /// `"completed"` flag; manifests older than the robustness layer read
-    /// as completed (they could only exist by finishing).
-    completed: bool,
-    /// `robustness.quarantined` count (0 for pre-robustness manifests).
-    quarantined: u64,
-    /// `robustness.unknown_queries` count (0 for pre-robustness manifests).
-    unknown_queries: u64,
-    /// `fleet.poisoned` shard names, sorted (empty for non-fleet
-    /// manifests): shards whose worker exhausted its retry budget.
-    poisoned: Vec<String>,
+/// Reads a run, shard or merged manifest with the one run-document reader.
+fn load_manifest(path: &Path) -> Result<RunDoc, String> {
+    record::read(path).map_err(|e| {
+        if path.exists() {
+            e
+        } else {
+            format!("{e} (run with POKEMU_RUN_MANIFEST=1 first)")
+        }
+    })
 }
 
-fn load_manifest(path: &Path) -> Result<ManifestData, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        format!(
-            "cannot read {}: {e} (run with POKEMU_RUN_MANIFEST=1 first)",
-            path.display()
-        )
-    })?;
-    let root = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let run_id = root
-        .get("run_id")
-        .and_then(Value::as_str)
-        .unwrap_or("?")
-        .to_owned();
-    let mut coverage = BTreeMap::new();
-    if let Some(Value::Obj(maps)) = root.get("coverage") {
-        for (name, v) in maps {
-            let m = MapSnapshot::from_value(v)
-                .ok_or_else(|| format!("{}: bad coverage map {name}", path.display()))?;
-            coverage.insert(name.clone(), m);
-        }
-    }
-    let mut clusters = BTreeMap::new();
-    if let Some(Value::Obj(targets)) = root.get("clusters") {
-        for (target, list) in targets {
-            let mut causes: Vec<String> = list
-                .as_array()
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|c| c.get("cause")?.as_str().map(str::to_owned))
-                .collect();
-            causes.sort();
-            clusters.insert(target.clone(), causes);
-        }
-    }
-    let deviations = root
-        .get("deviations")
-        .and_then(Value::as_array)
-        .map(<[Value]>::len)
-        .unwrap_or(0);
-    let completed = root
-        .get("completed")
-        .and_then(Value::as_bool)
-        .unwrap_or(true);
-    let robustness = root.get("robustness");
-    let rob_count = |key: &str| {
-        robustness
-            .and_then(|r| r.get(key))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    let quarantined = rob_count("quarantined");
-    let unknown_queries = rob_count("unknown_queries");
-    let mut poisoned: Vec<String> = root
+/// Root-cause names per target, in cause order.
+fn cluster_causes(m: &RunDoc) -> [(&'static str, Vec<String>); 2] {
+    let names = |c: &Clusters| c.iter().map(|(cause, _, _)| cause.to_string()).collect();
+    [
+        ("lofi", names(&m.results.lofi_clusters)),
+        ("hifi", names(&m.results.hifi_clusters)),
+    ]
+}
+
+/// `fleet.poisoned` shard names (empty for non-fleet manifests): shards
+/// whose worker exhausted its retry budget.
+fn poisoned_shards(m: &RunDoc) -> Vec<String> {
+    m.root
         .get("fleet")
         .and_then(|f| f.get("poisoned"))
         .and_then(Value::as_array)
@@ -1024,30 +976,19 @@ fn load_manifest(path: &Path) -> Result<ManifestData, String> {
                 .filter_map(|v| v.as_str().map(str::to_owned))
                 .collect()
         })
-        .unwrap_or_default();
-    poisoned.sort();
-    Ok(ManifestData {
-        run_id,
-        coverage,
-        clusters,
-        deviations,
-        completed,
-        quarantined,
-        unknown_queries,
-        poisoned,
-    })
+        .unwrap_or_default()
 }
 
 /// The default manifest to inspect: `target/run/<id>/manifest.json`, with
 /// the id from `POKEMU_RUN_ID` (falling back to the CI run id, `smoke`).
 fn default_manifest_path() -> PathBuf {
-    let id = std::env::var(run_manifest::RUN_ID_ENV).unwrap_or_default();
+    let id = std::env::var(record::RUN_ID_ENV).unwrap_or_default();
     let id = if id.is_empty() {
         "smoke".to_owned()
     } else {
         id
     };
-    run_manifest::run_dir(&id).join("manifest.json")
+    record::run_dir(&id).join("manifest.json")
 }
 
 /// `pokemu-report coverage`: print the coverage ledger of one manifest.
@@ -1075,9 +1016,12 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
             return ExitCode::from(EXIT_MISSING_INPUT);
         }
     };
+    let r = &m.results;
+    let clusters = cluster_causes(&m);
     if json_out {
         let maps: Vec<String> = m
             .coverage
+            .maps
             .iter()
             .map(|(name, map)| {
                 format!(
@@ -1088,10 +1032,9 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
                 )
             })
             .collect();
-        let clusters: Vec<String> = m
-            .clusters
+        let clusters: Vec<String> = clusters
             .iter()
-            .map(|(target, causes)| format!("\"{}\":{}", escape(target), jlist(causes)))
+            .map(|(target, causes)| format!("\"{target}\":{}", jlist(causes)))
             .collect();
         println!(
             "{{\"mode\":\"coverage\",\"run_id\":\"{}\",\"maps\":{{{}}},\"clusters\":{{{}}},\
@@ -1099,15 +1042,15 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
             escape(&m.run_id),
             maps.join(","),
             clusters.join(","),
-            m.deviations,
-            m.completed,
-            m.quarantined,
-            m.unknown_queries
+            r.deviations.len(),
+            r.completed,
+            r.quarantined.len(),
+            r.unknown_queries
         );
         return ExitCode::SUCCESS;
     }
     println!("== coverage ({} / run {})", path.display(), m.run_id);
-    for (name, map) in &m.coverage {
+    for (name, map) in &m.coverage.maps {
         println!(
             "  {name:<22} {:>6} / {:<6} bits  ({:.2}%)",
             map.set_count(),
@@ -1115,7 +1058,7 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
             100.0 * map.fraction()
         );
     }
-    for (target, causes) in &m.clusters {
+    for (target, causes) in &clusters {
         println!(
             "  clusters.{target:<14} {:>6} root cause(s){}",
             causes.len(),
@@ -1126,13 +1069,16 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
             }
         );
     }
-    println!("  deviations            {:>6}", m.deviations);
+    println!("  deviations            {:>6}", r.deviations.len());
     println!(
         "  robustness            completed={} quarantined={} unknown_queries={}",
-        m.completed, m.quarantined, m.unknown_queries
+        r.completed,
+        r.quarantined.len(),
+        r.unknown_queries
     );
-    if !m.poisoned.is_empty() {
-        println!("  fleet.poisoned        {}", m.poisoned.join(", "));
+    let poisoned = poisoned_shards(&m);
+    if !poisoned.is_empty() {
+        println!("  fleet.poisoned        {}", poisoned.join(", "));
     }
     ExitCode::SUCCESS
 }
@@ -1143,16 +1089,16 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
 /// a run that did not complete, quarantine/unknown counts growing past the
 /// baseline's, or (for fleet merges) shards newly poisoned vs the
 /// baseline, named individually.
-fn diff_violations(base: &ManifestData, cur: &ManifestData) -> Vec<String> {
+fn diff_violations(base: &RunDoc, cur: &RunDoc) -> Vec<String> {
     let mut violations = Vec::new();
-    if !cur.completed {
+    let (b, c) = (&base.results, &cur.results);
+    if !c.completed {
         violations.push("run manifest says \"completed\": false (deadline cut the run)".to_owned());
     }
-    let newly_poisoned: Vec<&str> = cur
-        .poisoned
-        .iter()
-        .filter(|s| !base.poisoned.contains(s))
-        .map(String::as_str)
+    let base_poisoned = poisoned_shards(base);
+    let newly_poisoned: Vec<String> = poisoned_shards(cur)
+        .into_iter()
+        .filter(|s| !base_poisoned.contains(s))
         .collect();
     if !newly_poisoned.is_empty() {
         violations.push(format!(
@@ -1161,20 +1107,21 @@ fn diff_violations(base: &ManifestData, cur: &ManifestData) -> Vec<String> {
             newly_poisoned.join(", ")
         ));
     }
-    if cur.quarantined > base.quarantined {
+    if c.quarantined.len() > b.quarantined.len() {
         violations.push(format!(
             "robustness.quarantined grew: baseline {} -> run {}",
-            base.quarantined, cur.quarantined
+            b.quarantined.len(),
+            c.quarantined.len()
         ));
     }
-    if cur.unknown_queries > base.unknown_queries {
+    if c.unknown_queries > b.unknown_queries {
         violations.push(format!(
             "robustness.unknown_queries grew: baseline {} -> run {}",
-            base.unknown_queries, cur.unknown_queries
+            b.unknown_queries, c.unknown_queries
         ));
     }
-    for (name, bmap) in &base.coverage {
-        match cur.coverage.get(name) {
+    for (name, bmap) in &base.coverage.maps {
+        match cur.coverage.map(name) {
             None => violations.push(format!("{name}: map missing from run manifest")),
             Some(cmap) => {
                 let lost = bmap.missing_from(cmap);
@@ -1188,9 +1135,8 @@ fn diff_violations(base: &ManifestData, cur: &ManifestData) -> Vec<String> {
             }
         }
     }
-    for (target, bcauses) in &base.clusters {
-        let ccauses = cur.clusters.get(target).cloned().unwrap_or_default();
-        if &ccauses != bcauses {
+    for ((target, bcauses), (_, ccauses)) in cluster_causes(base).iter().zip(&cluster_causes(cur)) {
+        if ccauses != bcauses {
             let gone: Vec<&str> = bcauses
                 .iter()
                 .filter(|c| !ccauses.contains(c))
@@ -1249,6 +1195,7 @@ fn cmd_diff(args: &mut std::env::Args) -> ExitCode {
         let violations = diff_violations(&base, &cur);
         let maps: Vec<String> = base
             .coverage
+            .maps
             .iter()
             .map(|(name, bmap)| {
                 format!(
@@ -1256,7 +1203,7 @@ fn cmd_diff(args: &mut std::env::Args) -> ExitCode {
                     escape(name),
                     bmap.set_count(),
                     cur.coverage
-                        .get(name)
+                        .map(name)
                         .map_or("null".to_string(), |m| m.set_count().to_string())
                 )
             })
@@ -1282,8 +1229,8 @@ fn cmd_diff(args: &mut std::env::Args) -> ExitCode {
         manifest.display(),
         cur.run_id
     );
-    for (name, bmap) in &base.coverage {
-        let cur_set = cur.coverage.get(name).map(MapSnapshot::set_count);
+    for (name, bmap) in &base.coverage.maps {
+        let cur_set = cur.coverage.map(name).map(MapSnapshot::set_count);
         println!(
             "  {name:<22} baseline {:>5} bits, run {}",
             bmap.set_count(),

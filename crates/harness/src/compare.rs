@@ -43,6 +43,17 @@ pub enum RootCause {
 }
 
 impl RootCause {
+    /// The named paper classes.
+    const NAMED: [RootCause; 7] = [
+        RootCause::MissingSegmentChecks,
+        RootCause::AtomicityViolation,
+        RootCause::MsrValidation,
+        RootCause::FetchOrder,
+        RootCause::AccessedFlag,
+        RootCause::EncodingRejected,
+        RootCause::FlagPolicy,
+    ];
+
     /// `true` for the named paper classes (everything except `Other`).
     pub fn is_identified(&self) -> bool {
         !matches!(self, RootCause::Other(_))
@@ -61,6 +72,22 @@ impl std::fmt::Display for RootCause {
             RootCause::FlagPolicy => write!(f, "status-flag computation"),
             RootCause::Other(k) => write!(f, "other: {k}"),
         }
+    }
+}
+
+/// Inverts [`Display`](std::fmt::Display), so a cause read back from a run
+/// record is the typed cause that wrote it.
+impl std::str::FromStr for RootCause {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<RootCause, String> {
+        if let Some(k) = s.strip_prefix("other: ") {
+            return Ok(RootCause::Other(k.to_owned()));
+        }
+        RootCause::NAMED
+            .into_iter()
+            .find(|c| c.to_string() == s)
+            .ok_or_else(|| format!("unknown root cause {s:?}"))
     }
 }
 
@@ -342,9 +369,9 @@ impl Clusters {
         Self::default()
     }
 
-    /// Adds one difference.
-    pub fn add(&mut self, test_name: &str, diff: &Difference) {
-        let entry = self.clusters.entry(diff.cause.clone()).or_default();
+    /// Adds one difference with root cause `cause`.
+    pub fn add(&mut self, test_name: &str, cause: &RootCause) {
+        let entry = self.clusters.entry(cause.clone()).or_default();
         entry.0 += 1;
         if entry.1.len() < 5 {
             entry.1.push(test_name.to_owned());
@@ -408,6 +435,15 @@ mod tests {
             opsize16: false,
         };
         assert_eq!(undefined_flags_of(&add), 0);
+    }
+
+    #[test]
+    fn root_cause_parses_its_display_form() {
+        let other = RootCause::Other("cr2+eax+eip".into());
+        for cause in RootCause::NAMED.into_iter().chain([other]) {
+            assert_eq!(cause.to_string().parse::<RootCause>(), Ok(cause));
+        }
+        assert!("status flags".parse::<RootCause>().is_err());
     }
 
     #[test]

@@ -34,6 +34,7 @@ use pokemu_testgen::{StateItem, TestState};
 
 use crate::compare::analyze_case;
 use crate::pipeline::{hex, run_on_all_targets, DeviationRecord};
+use crate::record::{deviation_json, parse_deviation};
 use crate::targets::baseline_snapshot;
 
 /// The corpus is validated against this Lo-Fi profile (the paper's QEMU
@@ -397,10 +398,10 @@ pub fn run_conformance(corpus: &[TestProgram], threads: usize) -> ConformanceRun
 }
 
 /// Renders one program's baseline document. `path_id` and `code_fnv` are
-/// JSON *strings*: the workspace JSON reader stores numbers as `f64`, which
-/// cannot round-trip 64-bit hashes (deviation entries keep the manifest's
-/// numeric form — the gate never re-parses them, it compares rendered
-/// text).
+/// JSON *strings*, a form the committed baselines keep from when the
+/// workspace JSON reader read every number as an `f64`; deviation entries
+/// use the run documents' numeric form ([`crate::record`]). The gate
+/// compares rendered text either way.
 pub fn program_json(r: &ProgramResult) -> String {
     let segments: Vec<String> = r
         .segments
@@ -415,11 +416,7 @@ pub fn program_json(r: &ProgramResult) -> String {
             )
         })
         .collect();
-    let deviations: Vec<String> = r
-        .deviations
-        .iter()
-        .map(crate::manifest::deviation_json)
-        .collect();
+    let deviations: Vec<String> = r.deviations.iter().map(deviation_json).collect();
     format!(
         "{{\n\"program\":\"{}\",\n\"path_id\":\"{}\",\n\"code_len\":{},\n\"code_fnv\":\"{:016x}\",\n\
          \"segments\":[{}],\n\"deviations\":[{}]\n}}\n",
@@ -499,25 +496,6 @@ pub struct Violation {
     pub reason: String,
 }
 
-/// The deviation identity used for drift diagnosis: everything but the
-/// path id (which the byte-equality gate already covers exactly).
-fn deviation_key(v: &Value) -> String {
-    format!(
-        "{} {} [{}]",
-        v.get("target").and_then(Value::as_str).unwrap_or("?"),
-        v.get("cause").and_then(Value::as_str).unwrap_or("?"),
-        v.get("components")
-            .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Value::as_str)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .unwrap_or_default()
-    )
-}
-
 /// Explains *why* a baseline mismatched: path-id drift, code drift,
 /// segment-provenance drift, or new/vanished deviations. Falls back to a
 /// generic reason when the texts differ in some other way (the gate itself
@@ -561,16 +539,21 @@ fn diagnose(baseline_text: &str, r: &ProgramResult) -> String {
             reasons.push("segment provenance changed".to_owned());
         }
     }
+    // A deviation's identity: everything but the path id, which the
+    // byte-equality gate already covers exactly.
+    let key =
+        |d: &DeviationRecord| format!("{} {} [{}]", d.target, d.cause, d.components.join(","));
     let base_devs: BTreeSet<String> = base
         .get("deviations")
         .and_then(Value::as_array)
-        .map(|a| a.iter().map(deviation_key).collect())
+        .map(|a| {
+            a.iter()
+                .filter_map(parse_deviation)
+                .map(|d| key(&d))
+                .collect()
+        })
         .unwrap_or_default();
-    let cur_devs: BTreeSet<String> = r
-        .deviations
-        .iter()
-        .map(|d| format!("{} {} [{}]", d.target, d.cause, d.components.join(",")))
-        .collect();
+    let cur_devs: BTreeSet<String> = r.deviations.iter().map(key).collect();
     for d in cur_devs.difference(&base_devs) {
         reasons.push(format!("new deviation: {d}"));
     }

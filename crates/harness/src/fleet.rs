@@ -6,30 +6,35 @@
 //! the instruction space into shards by a stable hash of the opcode-class
 //! name, spawns one *worker process* per shard (`pokemu-fleet worker
 //! --shard N`), and merges the per-shard artifacts under
-//! `target/fleet/<run>/` — run-manifest JSON files are the only interchange
-//! format, no sockets, no extra dependencies.
+//! `target/fleet/<run>/` — run documents ([`crate::record`]) are the only
+//! interchange format, no sockets, no extra dependencies. The merge folds
+//! the shards' per-instruction results exactly as `run_cross_validation`
+//! folds its own, so its deterministic sections equal a single-process
+//! run's.
 //!
 //! Robustness core, mirroring the in-process layers one level up:
 //!
-//! - **Checkpoint-resume**: a worker writes `shard-N/checkpoint.json`
-//!   atomically (write-temp + rename) after *every* completed instruction,
-//!   carrying the per-instruction results and the cumulative coverage
-//!   snapshot. A worker killed mid-shard — SIGKILL included — resumes from
-//!   the last checkpoint and reproduces the uninterrupted run's merged
+//! - **Checkpoint-resume**: a worker's checkpoint is its shard manifest.
+//!   After *every* completed instruction it rewrites `shard-N/manifest.json`
+//!   atomically (write-temp + rename) with `"completed": false`, carrying
+//!   the per-instruction results and the cumulative coverage snapshot; the
+//!   finished shard rewrites it once more with `"completed": true`. A
+//!   worker killed mid-shard — SIGKILL included — resumes from the last
+//!   unfinished manifest and reproduces the uninterrupted run's merged
 //!   manifest byte for byte (`tests/fleet_recovery.rs`).
 //! - **Watchdog + retry**: the coordinator polls worker exit status and the
-//!   per-shard heartbeat file; a non-zero exit, a missing manifest, or a
-//!   stale heartbeat fails the attempt, and the shard is retried with
-//!   bounded exponential backoff whose jitter is a pure function of
-//!   `(seed, shard, attempt)` — the retry schedule replays exactly.
+//!   per-shard heartbeat file; a non-zero exit, a missing or unfinished
+//!   manifest, or a stale heartbeat fails the attempt, and the shard is
+//!   retried with bounded exponential backoff whose jitter is a pure
+//!   function of `(seed, shard, attempt)` — the retry schedule replays
+//!   exactly.
 //! - **Process-level quarantine**: a shard that exhausts its attempts is
 //!   demoted to a `poisoned` record in the merged manifest (the process
 //!   analogue of PR-4's item quarantine); the run still completes, and
 //!   `pokemu-report diff` gates on poisoned-shard growth by name.
-//! - **Incremental re-validation**: a re-run skips shards whose `done.json`
-//!   marker carries the same config fingerprint
-//!   ([`pokemu_rt::history::fingerprint`]) and whose recorded coverage
-//!   populations still match the shard manifest on disk.
+//! - **Incremental re-validation**: a re-run skips shards whose finished
+//!   manifest carries the same config fingerprint
+//!   ([`pokemu_rt::history::fingerprint`]).
 //!
 //! Failure drills are first-class: the `fleet.spawn`, `fleet.heartbeat`,
 //! and `fleet.checkpoint` fault points accept the same `POKEMU_FAULT` spec
@@ -37,27 +42,24 @@
 //! its first checkpoint (`fleet.checkpoint:kill:1`) or starve every spawn
 //! (`fleet.spawn:unknown:*`) deterministically.
 
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime};
 
 use pokemu_explore::{explore_instruction_space, InsnSpaceConfig};
-use pokemu_isa::snapshot::Snapshot;
 use pokemu_lofi::Fidelity;
-use pokemu_rt::coverage::{CoverageSnapshot, MapSnapshot};
+use pokemu_rt::coverage::CoverageSnapshot;
 use pokemu_rt::history::{self, RunRecord};
-use pokemu_rt::json::{self, escape, Value};
-use pokemu_rt::{fault, metrics, rng};
+use pokemu_rt::json::escape;
+use pokemu_rt::{fault, metrics, rng, write_atomic};
 
-use crate::compare::analyze_case;
-use crate::manifest::{deviation_json, note_write_failure};
-use crate::pipeline::{generate_for_instruction, hex, run_on_all_targets, DeviationRecord};
+use crate::pipeline::{run_item, CrossValidation};
+use crate::record::{self, note_write_failure, InsnRecord, RunDoc};
 use crate::targets::baseline_snapshot;
 
 /// Environment variable a worker sets to its shard name (`shard-N`) so
-/// write-failure degradation ([`crate::manifest::note_write_failure`]) can
+/// write-failure degradation ([`crate::record::note_write_failure`]) can
 /// attribute artifact-write errors to the shard that hit them.
 pub const SHARD_ENV: &str = "POKEMU_FLEET_SHARD";
 
@@ -97,8 +99,8 @@ pub struct FleetConfig {
     pub worker_env: Vec<(String, String)>,
     /// Artifact root; None = `target/fleet/<run-id>/`.
     pub root: Option<PathBuf>,
-    /// Skip shards whose `done.json` fingerprint and recorded coverage
-    /// populations are unchanged.
+    /// Skip shards whose finished manifest carries this run's config
+    /// fingerprint.
     pub incremental: bool,
     /// Append one `kind: "fleet"` record to the run ledger after merging.
     pub ledger: bool,
@@ -198,112 +200,15 @@ fn shard_name(shard: usize) -> String {
     format!("shard-{shard}")
 }
 
-/// Write-temp + rename: a crash between the two calls leaves the previous
-/// file intact, never a torn one. Same-directory rename is atomic on every
-/// platform the repo targets.
-fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
+/// The manifest of `dir`'s shard, if it is finished and belongs to the run
+/// with config fingerprint `config_fp`.
+fn finished_shard(dir: &Path, config_fp: &str) -> Option<RunDoc> {
+    let doc = record::read(&dir.join("manifest.json")).ok()?;
+    (doc.results.completed && shard_fp(&doc) == Some(config_fp)).then_some(doc)
 }
 
-// ---------------------------------------------------------------------------
-// Per-instruction records (the checkpoint / shard-manifest payload)
-// ---------------------------------------------------------------------------
-
-/// Everything one instruction contributes to the merged manifest. The
-/// `index` is the instruction's position in the *global* sorted class list,
-/// so the merge can interleave shards back into the exact analysis order
-/// `run_cross_validation` would have used.
-#[derive(Debug, Clone)]
-struct InsnRecord {
-    index: usize,
-    name: String,
-    hex: String,
-    complete: bool,
-    paths: usize,
-    solver_queries: u64,
-    unknown_queries: u64,
-    infeasible_paths: usize,
-    lofi_differences: usize,
-    hifi_differences: usize,
-    lofi_filtered: usize,
-    hifi_filtered: usize,
-    deviations: Vec<DeviationRecord>,
-}
-
-fn insn_json(r: &InsnRecord) -> String {
-    let deviations: Vec<String> = r.deviations.iter().map(deviation_json).collect();
-    format!(
-        "{{\"index\":{},\"name\":\"{}\",\"hex\":\"{}\",\"complete\":{},\"paths\":{},\
-         \"solver_queries\":{},\"unknown_queries\":{},\"infeasible_paths\":{},\
-         \"lofi_differences\":{},\"hifi_differences\":{},\"lofi_filtered\":{},\
-         \"hifi_filtered\":{},\"deviations\":[{}]}}",
-        r.index,
-        escape(&r.name),
-        escape(&r.hex),
-        r.complete,
-        r.paths,
-        r.solver_queries,
-        r.unknown_queries,
-        r.infeasible_paths,
-        r.lofi_differences,
-        r.hifi_differences,
-        r.lofi_filtered,
-        r.hifi_filtered,
-        deviations.join(","),
-    )
-}
-
-fn parse_deviation(v: &Value) -> Option<DeviationRecord> {
-    Some(DeviationRecord {
-        target: v.get("target")?.as_str()?.to_owned(),
-        test: v.get("test")?.as_str()?.to_owned(),
-        insn_hex: v.get("insn")?.as_str()?.to_owned(),
-        path_id: v.get("path_id")?.as_u64()?,
-        cause: v.get("cause")?.as_str()?.to_owned(),
-        components: v
-            .get("components")?
-            .as_array()?
-            .iter()
-            .filter_map(|c| c.as_str().map(str::to_owned))
-            .collect(),
-    })
-}
-
-fn parse_insn(v: &Value) -> Option<InsnRecord> {
-    Some(InsnRecord {
-        index: v.get("index")?.as_u64()? as usize,
-        name: v.get("name")?.as_str()?.to_owned(),
-        hex: v.get("hex")?.as_str()?.to_owned(),
-        complete: v.get("complete")?.as_bool()?,
-        paths: v.get("paths")?.as_u64()? as usize,
-        solver_queries: v.get("solver_queries")?.as_u64()?,
-        unknown_queries: v.get("unknown_queries")?.as_u64()?,
-        infeasible_paths: v.get("infeasible_paths")?.as_u64()? as usize,
-        lofi_differences: v.get("lofi_differences")?.as_u64()? as usize,
-        hifi_differences: v.get("hifi_differences")?.as_u64()? as usize,
-        lofi_filtered: v.get("lofi_filtered")?.as_u64()? as usize,
-        hifi_filtered: v.get("hifi_filtered")?.as_u64()? as usize,
-        deviations: v
-            .get("deviations")?
-            .as_array()?
-            .iter()
-            .map(parse_deviation)
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
-fn parse_coverage(v: Option<&Value>) -> CoverageSnapshot {
-    let mut maps = BTreeMap::new();
-    if let Some(Value::Obj(entries)) = v {
-        for (name, m) in entries {
-            if let Some(snap) = MapSnapshot::from_value(m) {
-                maps.insert(name.clone(), snap);
-            }
-        }
-    }
-    CoverageSnapshot { maps }
+fn shard_fp(doc: &RunDoc) -> Option<&str> {
+    doc.root.get("config")?.get("config_fp")?.as_str()
 }
 
 /// Bitwise union of two coverage snapshots (bitmaps are monotone, so union
@@ -432,108 +337,12 @@ fn heartbeat_loop(dir: PathBuf, interval: Duration) {
         // same observable effect — both drills exercise the stale-kill
         // path without touching the worker's actual work.
         fault::inject("fleet.heartbeat", seq);
-        let write = std::fs::write(dir.join("heartbeat.tmp"), seq.to_string())
-            .and_then(|()| std::fs::rename(dir.join("heartbeat.tmp"), dir.join("heartbeat")));
-        if write.is_err() {
+        if write_atomic(&dir.join("heartbeat"), &seq.to_string()).is_err() {
             // A heartbeat that cannot land is indistinguishable from a
             // wedged worker; let the watchdog make the call.
         }
         std::thread::sleep(interval);
     }
-}
-
-struct Checkpoint {
-    config_fp: String,
-    insns: Vec<InsnRecord>,
-    coverage: CoverageSnapshot,
-}
-
-fn render_checkpoint(c: &Checkpoint) -> String {
-    let insns: Vec<String> = c.insns.iter().map(insn_json).collect();
-    format!(
-        "{{\n\"config_fp\":\"{}\",\n\"insns\":[\n{}\n],\n\"coverage\":{}\n}}\n",
-        escape(&c.config_fp),
-        insns.join(",\n"),
-        c.coverage.to_json_object(),
-    )
-}
-
-/// Loads the shard checkpoint if it exists and matches this run's config
-/// fingerprint; a missing, torn, or stale-config checkpoint starts the
-/// shard from scratch (never an error — the checkpoint is an optimization,
-/// not a correctness input).
-fn load_checkpoint(path: &Path, config_fp: &str) -> Checkpoint {
-    let fresh = || Checkpoint {
-        config_fp: config_fp.to_owned(),
-        insns: Vec::new(),
-        coverage: CoverageSnapshot::default(),
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return fresh();
-    };
-    let Ok(root) = json::parse(&text) else {
-        return fresh();
-    };
-    if root.get("config_fp").and_then(Value::as_str) != Some(config_fp) {
-        return fresh();
-    }
-    let Some(insns) = root
-        .get("insns")
-        .and_then(Value::as_array)
-        .and_then(|a| a.iter().map(parse_insn).collect::<Option<Vec<_>>>())
-    else {
-        return fresh();
-    };
-    Checkpoint {
-        config_fp: config_fp.to_owned(),
-        insns,
-        coverage: parse_coverage(root.get("coverage")),
-    }
-}
-
-/// Runs one instruction exactly like the pipeline's worker + analysis
-/// stages: generate test programs, execute on all three targets, compare
-/// with the undefined-behavior filter, and record every deviation with
-/// provenance — in program order, lofi before hifi per case, so the merged
-/// deviation list is byte-identical to a single-process run's.
-fn process_instruction(
-    index: usize,
-    name: &str,
-    bytes: &[u8],
-    baseline: &Snapshot,
-    max_paths: usize,
-) -> InsnRecord {
-    let gen = generate_for_instruction(name, bytes, baseline, max_paths, None);
-    let mut rec = InsnRecord {
-        index,
-        name: name.to_owned(),
-        hex: hex(bytes),
-        complete: gen.complete,
-        paths: gen.programs.len(),
-        solver_queries: gen.solver_queries,
-        unknown_queries: gen.unknown_queries,
-        infeasible_paths: gen.infeasible_paths,
-        lofi_differences: 0,
-        hifi_differences: 0,
-        lofi_filtered: 0,
-        hifi_filtered: 0,
-        deviations: Vec::new(),
-    };
-    for p in &gen.programs {
-        let case = run_on_all_targets(p, Fidelity::QEMU_LIKE);
-        let analysis = analyze_case(&case, &p.test_insn, p.path_id);
-        rec.lofi_differences += usize::from(analysis.lofi_differs);
-        rec.hifi_differences += usize::from(analysis.hifi_differs);
-        for (target, d) in &analysis.deviations {
-            match *target {
-                "lofi" => rec.lofi_filtered += 1,
-                _ => rec.hifi_filtered += 1,
-            }
-            rec.deviations
-                .push(DeviationRecord::new(target, &case.name, d));
-        }
-    }
-    rec
 }
 
 fn worker_run(a: &WorkerArgs) -> io::Result<()> {
@@ -563,217 +372,83 @@ fn worker_run(a: &WorkerArgs) -> io::Result<()> {
         .filter(|(_, name, _)| shard_of(name, a.shards) == a.shard)
         .collect();
 
-    let ckpt_path = dir.join("checkpoint.json");
-    let mut ckpt = load_checkpoint(&ckpt_path, &a.config_fp);
-    if ckpt.insns.len() > slice.len() {
-        // A checkpoint larger than the slice cannot belong to this config;
-        // the fingerprint should have caught it, but never trust a resume
-        // input further than it can be validated.
-        ckpt = Checkpoint {
-            config_fp: a.config_fp.clone(),
-            insns: Vec::new(),
-            coverage: CoverageSnapshot::default(),
-        };
-    }
-    if !ckpt.insns.is_empty() {
+    // Resume from an unfinished manifest of this config whose instructions
+    // are a prefix of this slice. Anything else — missing, torn, finished,
+    // another config — starts the shard from scratch: the checkpoint is an
+    // optimization, never trusted further than it can be validated.
+    let path = dir.join("manifest.json");
+    let (mut insns, mut coverage) = match record::read(&path) {
+        Ok(doc)
+            if !doc.results.completed
+                && shard_fp(&doc) == Some(a.config_fp.as_str())
+                && doc.insns.len() <= slice.len()
+                && doc.insns.iter().zip(&slice).all(|(r, s)| r.index == s.0) =>
+        {
+            (doc.insns, doc.coverage)
+        }
+        _ => (Vec::new(), CoverageSnapshot::default()),
+    };
+    if !insns.is_empty() {
         eprintln!(
             "[fleet-worker] shard {} resuming at instruction {}/{}",
             a.shard,
-            ckpt.insns.len(),
+            insns.len(),
             slice.len()
         );
         metrics::counter("fleet.resumes").inc();
     }
 
-    for i in ckpt.insns.len()..slice.len() {
-        let (index, name, bytes) = &slice[i];
-        let rec = process_instruction(*index, name, bytes, &baseline, a.max_paths);
-        // Cumulative coverage = bits from resumed instructions (checkpoint)
-        // ∪ bits this process set; a killed instruction's partial bits are
+    let config_json = format!(
+        "{{\"shard\":{},\"shards\":{},\"config_fp\":\"{}\"}}",
+        a.shard,
+        a.shards,
+        escape(&a.config_fp)
+    );
+    let write_shard = |insns: &[InsnRecord], coverage: &CoverageSnapshot, completed: bool| {
+        let out = CrossValidation {
+            candidates: space.candidates,
+            completed,
+            ..record::fold(insns)
+        };
+        let doc = record::render(
+            &shard_name(a.shard),
+            &config_json,
+            &out,
+            coverage,
+            &[("insns", record::insns_json(insns))],
+        );
+        write_atomic(&path, &doc).inspect_err(|e| note_write_failure("shard manifest write", e))
+    };
+    for (index, name, bytes) in &slice[insns.len()..] {
+        let item = run_item(
+            *index,
+            name.clone(),
+            bytes,
+            &baseline,
+            a.max_paths,
+            None,
+            Fidelity::QEMU_LIKE,
+        );
+        insns.push(record::analyze(item));
+        // Cumulative coverage = bits from resumed instructions ∪ bits this
+        // process set; a killed instruction's partial bits are
         // deliberately dropped — its full re-run regenerates them.
-        ckpt.coverage = union_coverage(&ckpt.coverage, &pokemu_rt::coverage::snapshot());
-        ckpt.insns.push(rec);
-        write_atomic(&ckpt_path, &render_checkpoint(&ckpt))?;
+        coverage = union_coverage(&coverage, &pokemu_rt::coverage::snapshot());
+        write_shard(&insns, &coverage, false)?;
         // Fired *after* the rename with the cumulative completed count as
         // key: a `kill` fault here crashes exactly once — the resumed
         // attempt starts past this key — which is what makes the CI
         // kill-one-worker drill deterministic.
-        fault::inject("fleet.checkpoint", ckpt.insns.len() as u64);
+        fault::inject("fleet.checkpoint", insns.len() as u64);
     }
-
-    let doc = render_shard_manifest(a, space.candidates, &ckpt);
-    if let Err(e) = write_atomic(&dir.join("manifest.json"), &doc) {
-        note_write_failure("shard manifest write", &e);
-        return Err(e);
-    }
-    // The reuse marker is written only after the manifest landed, and
-    // records the coverage populations so a later incremental run can
-    // detect a manifest that rotted underneath the marker.
-    let cov: Vec<String> = ckpt
-        .coverage
-        .maps
-        .iter()
-        .map(|(name, m)| format!("\"{}\":{}", escape(name), m.set_count()))
-        .collect();
-    write_atomic(
-        &dir.join("done.json"),
-        &format!(
-            "{{\"config_fp\":\"{}\",\"instructions\":{},\"cov\":{{{}}}}}\n",
-            escape(&a.config_fp),
-            ckpt.insns.len(),
-            cov.join(",")
-        ),
-    )?;
+    write_shard(&insns, &coverage, true)?;
     eprintln!(
         "[fleet-worker] shard {} done: {} instruction(s), {} deviation(s)",
         a.shard,
-        ckpt.insns.len(),
-        ckpt.insns.iter().map(|r| r.deviations.len()).sum::<usize>()
+        insns.len(),
+        insns.iter().map(|r| r.deviations.len()).sum::<usize>()
     );
     Ok(())
-}
-
-/// Renders a shard manifest: the standard run-manifest sections (so
-/// `pokemu-report coverage/diff` can open a shard directly) plus the
-/// per-instruction `insns` detail the merge interleaves.
-fn render_shard_manifest(a: &WorkerArgs, candidates: usize, ckpt: &Checkpoint) -> String {
-    let counts = sum_counts(&ckpt.insns);
-    let deviations: Vec<String> = ckpt
-        .insns
-        .iter()
-        .flat_map(|r| r.deviations.iter())
-        .map(deviation_json)
-        .collect();
-    let insns: Vec<String> = ckpt.insns.iter().map(insn_json).collect();
-    format!(
-        "{{\n\"run_id\":\"{}\",\n\"completed\":true,\n\"shard\":{{\"index\":{},\"of\":{},\
-         \"config_fp\":\"{}\",\"candidates\":{}}},\n\"counts\":{},\n\"coverage\":{},\n\
-         \"clusters\":{},\n\"robustness\":{},\n\"deviations\":[{}],\n\"insns\":[\n{}\n]\n}}\n",
-        shard_name(a.shard),
-        a.shard,
-        a.shards,
-        escape(&a.config_fp),
-        candidates,
-        counts_json(candidates, &counts),
-        ckpt.coverage.to_json_object(),
-        clusters_json_of(&all_deviations(&ckpt.insns)),
-        robustness_json(&counts, &[]),
-        deviations.join(","),
-        insns.join(",\n"),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Shared count/cluster rendering (worker manifest + merged manifest)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default, Clone)]
-struct Counts {
-    unique_instructions: usize,
-    fully_explored: usize,
-    total_paths: usize,
-    lofi_differences: usize,
-    hifi_differences: usize,
-    lofi_filtered: usize,
-    hifi_filtered: usize,
-    unknown_queries: u64,
-    infeasible_paths: usize,
-    solver_queries: u64,
-}
-
-fn sum_counts(insns: &[InsnRecord]) -> Counts {
-    let mut c = Counts {
-        unique_instructions: insns.len(),
-        ..Counts::default()
-    };
-    for r in insns {
-        if r.complete {
-            c.fully_explored += 1;
-        }
-        c.total_paths += r.paths;
-        c.lofi_differences += r.lofi_differences;
-        c.hifi_differences += r.hifi_differences;
-        c.lofi_filtered += r.lofi_filtered;
-        c.hifi_filtered += r.hifi_filtered;
-        c.unknown_queries += r.unknown_queries;
-        c.infeasible_paths += r.infeasible_paths;
-        c.solver_queries += r.solver_queries;
-    }
-    c
-}
-
-fn counts_json(candidates: usize, c: &Counts) -> String {
-    format!(
-        "{{\"candidates\":{},\"unique_instructions\":{},\"fully_explored\":{},\
-         \"total_paths\":{},\"lofi_differences\":{},\"hifi_differences\":{},\
-         \"lofi_filtered\":{},\"hifi_filtered\":{}}}",
-        candidates,
-        c.unique_instructions,
-        c.fully_explored,
-        c.total_paths,
-        c.lofi_differences,
-        c.hifi_differences,
-        c.lofi_filtered,
-        c.hifi_filtered,
-    )
-}
-
-fn robustness_json(c: &Counts, poisoned: &[String]) -> String {
-    let names: Vec<String> = poisoned
-        .iter()
-        .map(|p| format!("\"{}\"", escape(p)))
-        .collect();
-    format!(
-        "{{\"quarantined\":0,\"skipped_instructions\":0,\"unknown_queries\":{},\
-         \"infeasible_paths\":{},\"quarantine\":[],\"poisoned_shards\":[{}]}}",
-        c.unknown_queries,
-        c.infeasible_paths,
-        names.join(","),
-    )
-}
-
-fn all_deviations(insns: &[InsnRecord]) -> Vec<DeviationRecord> {
-    insns
-        .iter()
-        .flat_map(|r| r.deviations.iter().cloned())
-        .collect()
-}
-
-/// Rebuilds the `clusters` section from a deviation list: per target, one
-/// entry per root cause with the total count and the first ≤ 5 example test
-/// names in deviation order — the same shape and caps as
-/// [`crate::compare::Clusters`], sorted by cause string.
-fn clusters_json_of(deviations: &[DeviationRecord]) -> String {
-    let render = |target: &str| -> String {
-        let mut by_cause: BTreeMap<&str, (usize, Vec<&str>)> = BTreeMap::new();
-        for d in deviations.iter().filter(|d| d.target == target) {
-            let entry = by_cause.entry(d.cause.as_str()).or_default();
-            entry.0 += 1;
-            if entry.1.len() < 5 {
-                entry.1.push(&d.test);
-            }
-        }
-        let entries: Vec<String> = by_cause
-            .iter()
-            .map(|(cause, (count, examples))| {
-                let ex: Vec<String> = examples
-                    .iter()
-                    .map(|e| format!("\"{}\"", escape(e)))
-                    .collect();
-                format!(
-                    "{{\"cause\":\"{}\",\"count\":{count},\"examples\":[{}]}}",
-                    escape(cause),
-                    ex.join(",")
-                )
-            })
-            .collect();
-        format!("[{}]", entries.join(","))
-    };
-    format!(
-        "{{\"lofi\":{},\"hifi\":{}}}",
-        render("lofi"),
-        render("hifi")
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -848,66 +523,6 @@ fn backoff_delay(config: &FleetConfig, shard: usize, attempt: u32) -> Duration {
         rng::mix64(config.backoff_seed ^ ((shard as u64) << 32) ^ u64::from(attempt)) % base
     };
     Duration::from_millis(exp + jitter)
-}
-
-/// Whether a shard's previous artifacts can be reused: the `done.json`
-/// marker must carry this run's config fingerprint, the shard manifest must
-/// still parse, and the manifest's coverage populations must match what the
-/// marker recorded when the shard finished.
-fn reuse_ok(dir: &Path, config_fp: &str) -> bool {
-    let Ok(marker_text) = std::fs::read_to_string(dir.join("done.json")) else {
-        return false;
-    };
-    let Ok(marker) = json::parse(&marker_text) else {
-        return false;
-    };
-    if marker.get("config_fp").and_then(Value::as_str) != Some(config_fp) {
-        return false;
-    }
-    let Ok(doc) = parse_shard_doc(&dir.join("manifest.json")) else {
-        return false;
-    };
-    let Some(Value::Obj(recorded)) = marker.get("cov") else {
-        return false;
-    };
-    for (name, set) in recorded {
-        let want = set.as_u64().unwrap_or(u64::MAX) as usize;
-        if doc.coverage.map(name).map(MapSnapshot::set_count) != Some(want) {
-            return false;
-        }
-    }
-    true
-}
-
-struct ShardDoc {
-    completed: bool,
-    candidates: usize,
-    insns: Vec<InsnRecord>,
-    coverage: CoverageSnapshot,
-}
-
-fn parse_shard_doc(path: &Path) -> Result<ShardDoc, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let root = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let insns = root
-        .get("insns")
-        .and_then(Value::as_array)
-        .and_then(|a| a.iter().map(parse_insn).collect::<Option<Vec<_>>>())
-        .ok_or_else(|| format!("{}: bad insns section", path.display()))?;
-    Ok(ShardDoc {
-        completed: root
-            .get("completed")
-            .and_then(Value::as_bool)
-            .unwrap_or(false),
-        candidates: root
-            .get("shard")
-            .and_then(|s| s.get("candidates"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize,
-        insns,
-        coverage: parse_coverage(root.get("coverage")),
-    })
 }
 
 fn spawn_worker(
@@ -1041,8 +656,8 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
     let mut states: Vec<ShardState> = (0..config.shards.max(1))
         .map(|shard| {
             let dir = root.join(shard_name(shard));
-            if config.incremental && reuse_ok(&dir, &config_fp) {
-                events.log(shard, "reused", "fingerprint and coverage unchanged");
+            if config.incremental && finished_shard(&dir, &config_fp).is_some() {
+                events.log(shard, "reused", "finished manifest, same fingerprint");
                 metrics::counter("fleet.shards_reused").inc();
                 ShardState::Done {
                     attempts: 0,
@@ -1059,47 +674,35 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
 
     loop {
         let mut busy = false;
-        for shard in 0..states.len() {
-            let next = match &mut states[shard] {
+        for (shard, state) in states.iter_mut().enumerate() {
+            // `Some(Ok(state))` moves the shard on; `Some(Err((attempt,
+            // reason)))` fails that attempt.
+            let next = match state {
                 ShardState::Pending {
                     attempt,
                     not_before,
                 } => {
                     busy = true;
+                    let attempt_no = *attempt + 1;
                     if Instant::now() < *not_before {
                         None
-                    } else {
-                        let attempt_no = *attempt + 1;
+                    } else if fault::inject("fleet.spawn", shard as u64) {
                         // The spawn fault point, keyed by shard: an
                         // `unknown` spec turns into a spawn failure on
                         // every attempt — the deterministic way to drive a
                         // shard into poisoning.
-                        if fault::inject("fleet.spawn", shard as u64) {
-                            Some(fail_attempt(
-                                config,
-                                &mut events,
-                                shard,
-                                attempt_no,
-                                "spawn fault injected".to_owned(),
-                            ))
-                        } else {
-                            match spawn_worker(config, &root, shard, attempt_no, &config_fp) {
-                                Ok(child) => {
-                                    events.log(shard, "spawn", &format!("attempt {attempt_no}"));
-                                    Some(ShardState::Running {
-                                        child,
-                                        attempt: attempt_no,
-                                        spawned: Instant::now(),
-                                    })
-                                }
-                                Err(e) => Some(fail_attempt(
-                                    config,
-                                    &mut events,
-                                    shard,
-                                    attempt_no,
-                                    format!("spawn error: {e}"),
-                                )),
+                        Some(Err((attempt_no, "spawn fault injected".to_owned())))
+                    } else {
+                        match spawn_worker(config, &root, shard, attempt_no, &config_fp) {
+                            Ok(child) => {
+                                events.log(shard, "spawn", &format!("attempt {attempt_no}"));
+                                Some(Ok(ShardState::Running {
+                                    child,
+                                    attempt: attempt_no,
+                                    spawned: Instant::now(),
+                                }))
                             }
+                            Err(e) => Some(Err((attempt_no, format!("spawn error: {e}")))),
                         }
                     }
                 }
@@ -1110,6 +713,7 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
                 } => {
                     busy = true;
                     let attempt_no = *attempt;
+                    let dir = root.join(shard_name(shard));
                     match child.try_wait() {
                         // A poll error must stay scoped to this shard:
                         // propagating it out of run_fleet would abandon
@@ -1119,58 +723,30 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
                         Err(e) => {
                             let _ = child.kill();
                             let _ = child.wait();
-                            Some(fail_attempt(
-                                config,
-                                &mut events,
-                                shard,
-                                attempt_no,
-                                format!("wait error: {e}"),
-                            ))
+                            Some(Err((attempt_no, format!("wait error: {e}"))))
                         }
-                        Ok(Some(status)) => {
-                            let manifest_ok =
-                                root.join(shard_name(shard)).join("manifest.json").is_file();
-                            if status.success() && manifest_ok {
-                                events.log(shard, "done", &format!("attempt {attempt_no}"));
-                                Some(ShardState::Done {
-                                    attempts: attempt_no,
-                                    reused: false,
-                                })
-                            } else if status.success() {
-                                Some(fail_attempt(
-                                    config,
-                                    &mut events,
-                                    shard,
-                                    attempt_no,
-                                    "exited 0 without a shard manifest".to_owned(),
-                                ))
-                            } else {
-                                Some(fail_attempt(
-                                    config,
-                                    &mut events,
-                                    shard,
-                                    attempt_no,
-                                    format!("worker {status}"),
-                                ))
-                            }
+                        Ok(Some(status)) if !status.success() => {
+                            Some(Err((attempt_no, format!("worker {status}"))))
+                        }
+                        Ok(Some(_)) if finished_shard(&dir, &config_fp).is_none() => {
+                            let reason = "exited 0 without a finished shard manifest";
+                            Some(Err((attempt_no, reason.to_owned())))
+                        }
+                        Ok(Some(_)) => {
+                            events.log(shard, "done", &format!("attempt {attempt_no}"));
+                            Some(Ok(ShardState::Done {
+                                attempts: attempt_no,
+                                reused: false,
+                            }))
                         }
                         Ok(None) => {
-                            let age = heartbeat_age(&root.join(shard_name(shard)), *spawned);
+                            let age = heartbeat_age(&dir, *spawned);
                             if age > config.heartbeat_stale {
                                 let _ = child.kill();
                                 let _ = child.wait();
-                                events.log(
-                                    shard,
-                                    "stale",
-                                    &format!("heartbeat silent for {}ms", age.as_millis()),
-                                );
-                                Some(fail_attempt(
-                                    config,
-                                    &mut events,
-                                    shard,
-                                    attempt_no,
-                                    format!("heartbeat stale ({}ms)", age.as_millis()),
-                                ))
+                                let ms = age.as_millis();
+                                events.log(shard, "stale", &format!("heartbeat silent for {ms}ms"));
+                                Some(Err((attempt_no, format!("heartbeat stale ({ms}ms)"))))
                             } else {
                                 None
                             }
@@ -1179,9 +755,13 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
                 }
                 ShardState::Done { .. } | ShardState::Poisoned { .. } => None,
             };
-            if let Some(s) = next {
-                states[shard] = s;
-            }
+            *state = match next {
+                None => continue,
+                Some(Ok(state)) => state,
+                Some(Err((attempt, reason))) => {
+                    fail_attempt(config, &mut events, shard, attempt, reason)
+                }
+            };
         }
         if !busy {
             break;
@@ -1190,9 +770,9 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
     }
 
     // Merge: interleave every merged shard's instruction records back into
-    // global order, union coverage, and rebuild the clusters —
-    // deterministic content only; retries, timings, and reuse live in
-    // fleet-events.jsonl.
+    // global order, union coverage, and fold them exactly as a
+    // single-process run folds its own — deterministic content only;
+    // retries, timings, and reuse live in fleet-events.jsonl.
     let mut shards_out = Vec::new();
     let mut poisoned = Vec::new();
     let mut reused = 0usize;
@@ -1203,8 +783,16 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
                 attempts,
                 reused: r,
             } => {
-                let doc = parse_shard_doc(&root.join(shard_name(shard)).join("manifest.json"))
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                let doc =
+                    finished_shard(&root.join(shard_name(shard)), &config_fp).ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "{}: shard manifest missing or unfinished",
+                                shard_name(shard)
+                            ),
+                        )
+                    })?;
                 docs.push(doc);
                 if *r {
                     reused += 1;
@@ -1229,8 +817,8 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
     }
     poisoned.sort();
 
-    let completed = docs.iter().all(|d| d.completed);
-    let candidates = docs.iter().map(|d| d.candidates).max().unwrap_or(0);
+    let merged_shards = docs.len();
+    let candidates = docs.iter().map(|d| d.results.candidates).max().unwrap_or(0);
     let mut coverage = CoverageSnapshot::default();
     for d in &docs {
         coverage = union_coverage(&coverage, &d.coverage);
@@ -1242,48 +830,45 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
     // shard — and path ids hash only the branch path (not the
     // instruction), so keying on them would collapse *distinct*
     // instructions' straight-line deviations. Every recorded deviation is
-    // kept, exactly like a single-process `record_deviation` run.
-    let counts = sum_counts(&insns);
-    let deviations = all_deviations(&insns);
-    let merged_shards = shards_out
-        .iter()
-        .filter(|s| !matches!(s.status, ShardStatus::Poisoned(_)))
-        .count();
-
-    let dev_json: Vec<String> = deviations.iter().map(deviation_json).collect();
+    // kept, exactly like a single-process run.
+    let merged = CrossValidation {
+        candidates,
+        ..record::fold(&insns)
+    };
     let poisoned_json: Vec<String> = poisoned
         .iter()
         .map(|p| format!("\"{}\"", escape(p)))
         .collect();
-    let merged = format!(
-        "{{\n\"run_id\":\"{}\",\n\"completed\":{},\n\"config\":{{\"first_byte\":{},\
-         \"second_byte\":{},\"max_paths_per_insn\":{},\"shards\":{}}},\n\"counts\":{},\n\
-         \"fleet\":{{\"shards\":{},\"merged\":{},\"poisoned\":[{}]}},\n\"coverage\":{},\n\
-         \"clusters\":{},\n\"robustness\":{},\n\"deviations\":[{}]\n}}\n",
-        escape(&config.run_id),
-        completed,
-        opt_u8_json(config.first_byte),
-        opt_u8_json(config.second_byte),
+    let config_json = format!(
+        "{{\"first_byte\":{},\"second_byte\":{},\"max_paths_per_insn\":{},\"shards\":{}}}",
+        record::opt_json(config.first_byte),
+        record::opt_json(config.second_byte),
         config.max_paths_per_insn,
         config.shards,
-        counts_json(candidates, &counts),
+    );
+    let fleet_json = format!(
+        "{{\"shards\":{},\"merged\":{merged_shards},\"poisoned\":[{}]}}",
         config.shards,
-        merged_shards,
         poisoned_json.join(","),
-        coverage.to_json_object(),
-        clusters_json_of(&deviations),
-        robustness_json(&counts, &poisoned),
-        dev_json.join(","),
     );
     let merged_path = root.join("merged.json");
-    write_atomic(&merged_path, &merged)?;
+    write_atomic(
+        &merged_path,
+        &record::render(
+            &config.run_id,
+            &config_json,
+            &merged,
+            &coverage,
+            &[("fleet", fleet_json)],
+        ),
+    )?;
     events.log_named(
         "coordinator",
         "merged",
         &format!(
             "{merged_shards}/{} shard(s), {} deviation(s), {} poisoned",
             config.shards,
-            deviations.len(),
+            merged.deviations.len(),
             poisoned.len()
         ),
     );
@@ -1293,21 +878,9 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
         rec.det("count.shards", config.shards as u64);
         rec.det("count.merged", merged_shards as u64);
         rec.det("count.poisoned", poisoned.len() as u64);
-        rec.det(
-            "count.unique_instructions",
-            counts.unique_instructions as u64,
-        );
-        rec.det("count.fully_explored", counts.fully_explored as u64);
-        rec.det("count.total_paths", counts.total_paths as u64);
-        rec.det("count.deviations", deviations.len() as u64);
-        rec.det("robust.unknown_queries", counts.unknown_queries);
-        rec.det("robust.infeasible_paths", counts.infeasible_paths as u64);
-        for (name, m) in &coverage.maps {
-            let short = name.strip_prefix("coverage.").unwrap_or(name);
-            rec.det(&format!("cov.{short}.set"), m.set_count() as u64);
-        }
-        rec.timing("wall.total", started.elapsed().as_secs_f64());
-        crate::ledger::append_record(rec);
+        record::det(&mut rec, &merged, &coverage);
+        rec.timing("wall.total", started.elapsed().as_nanos() as f64);
+        record::append_record(rec);
     }
 
     Ok(FleetOutcome {
@@ -1317,15 +890,38 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
         shards: shards_out,
         poisoned,
         reused,
-        unique_instructions: counts.unique_instructions,
-        total_paths: counts.total_paths,
-        deviations: deviations.len(),
+        unique_instructions: merged.unique_instructions,
+        total_paths: merged.total_paths,
+        deviations: merged.deviations.len(),
     })
 }
 
-fn opt_u8_json(v: Option<u8>) -> String {
-    match v {
-        Some(b) => b.to_string(),
-        None => "null".to_owned(),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The coordinator counts a shard as done only on a finished manifest
+    /// of this config: a worker that exits 0 leaving an unfinished one (or
+    /// another run's) fails its attempt, like one that leaves none.
+    #[test]
+    fn only_a_finished_manifest_of_this_config_is_done() {
+        let dir = std::env::temp_dir().join(format!("pokemu-fleet-{}", std::process::id()));
+        let write = |completed: bool, fp: &str| {
+            let out = CrossValidation {
+                completed,
+                ..CrossValidation::default()
+            };
+            let config = format!("{{\"config_fp\":\"{fp}\"}}");
+            let doc = record::render("shard-0", &config, &out, &CoverageSnapshot::default(), &[]);
+            write_atomic(&dir.join("manifest.json"), &doc).unwrap();
+        };
+        assert!(finished_shard(&dir, "fp").is_none(), "no manifest");
+        write(false, "fp");
+        assert!(finished_shard(&dir, "fp").is_none(), "unfinished");
+        write(true, "other");
+        assert!(finished_shard(&dir, "fp").is_none(), "another config");
+        write(true, "fp");
+        assert!(finished_shard(&dir, "fp").is_some(), "finished");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,10 +13,9 @@
 pub mod compare;
 pub mod conformance;
 pub mod fleet;
-pub mod ledger;
-pub mod manifest;
 pub mod pipeline;
 pub mod random;
+pub mod record;
 pub mod targets;
 
 pub use compare::{class_of, compare, undefined_flags_of, Clusters, Difference, RootCause};
@@ -25,7 +24,6 @@ pub use conformance::{
     ConformanceRun, ProgramResult, Violation,
 };
 pub use fleet::{run_fleet, FleetConfig, FleetOutcome, ShardReport, ShardStatus};
-pub use manifest::RunManifest;
 pub use pipeline::{
     generate_for_instruction, run_cross_validation, run_on_all_targets, CaseOutcome,
     CrossValidation, DeviationRecord, InsnGeneration, PipelineConfig, StageStats,

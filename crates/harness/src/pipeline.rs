@@ -34,7 +34,8 @@ use pokemu_isa::snapshot::Snapshot;
 use pokemu_lofi::Fidelity;
 use pokemu_testgen::TestProgram;
 
-use crate::compare::{analyze_case, Clusters, Difference};
+use crate::compare::{Clusters, Difference};
+use crate::record::{self, InsnRecord};
 use crate::targets::{baseline_snapshot, HardwareTarget, HiFiTarget, LofiTarget, Target};
 
 /// Pipeline configuration.
@@ -60,7 +61,7 @@ pub struct PipelineConfig {
     pub trace: bool,
     /// Write a run manifest to `target/run/<run-id>/manifest.json` when the
     /// run finishes (equivalent to `POKEMU_RUN_MANIFEST=1`; the run id
-    /// comes from `POKEMU_RUN_ID`, see [`crate::manifest`]).
+    /// comes from `POKEMU_RUN_ID`, see [`crate::record`]).
     pub manifest: bool,
     /// Whole-run wall deadline: past it the pool stops dispatching new
     /// instructions, in-flight ones finish, everything gathered so far is
@@ -307,19 +308,63 @@ pub fn generate_for_instruction(
     }
 }
 
-/// What one worker produced for one instruction representative.
-struct ItemOutcome {
-    complete: bool,
-    n_paths: usize,
-    solver_queries: u64,
-    unknown_queries: u64,
-    infeasible_paths: usize,
+/// What one worker produced for one instruction representative: its record
+/// with the exploration results filled in ([`record::analyze`] adds the
+/// rest), what its stage spans measured, and its executed tests.
+pub(crate) struct ItemOutcome {
+    pub record: InsnRecord,
     /// What its `stage.explore_states` + `stage.testgen` spans measured.
-    generate: Duration,
+    pub generate: Duration,
     /// What its `stage.execute` span measured.
-    execute: Duration,
+    pub execute: Duration,
     /// `(instruction bytes, path id, outcome)` per test program.
-    cases: Vec<(Vec<u8>, u64, CaseOutcome)>,
+    pub cases: Vec<(Vec<u8>, u64, CaseOutcome)>,
+}
+
+/// Steps 2-4 for the instruction at `index` in the sorted class list
+/// (Fig. 1): explores its state space, generates its test programs and runs
+/// each on all three targets. The pipeline's workers and a fleet worker
+/// both run this.
+pub(crate) fn run_item(
+    index: usize,
+    name: String,
+    bytes: &[u8],
+    baseline: &Snapshot,
+    max_paths: usize,
+    deadline: Option<Instant>,
+    lofi_fidelity: Fidelity,
+) -> ItemOutcome {
+    let gen = generate_for_instruction(&name, bytes, baseline, max_paths, deadline);
+    let (cases, execute) = trace::timed_with(
+        "stage.execute",
+        || vec![("insn", name.clone())],
+        || {
+            gen.programs
+                .iter()
+                .map(|p| {
+                    let case = run_on_all_targets(p, lofi_fidelity);
+                    (p.test_insn.clone(), p.path_id, case)
+                })
+                .collect::<Vec<_>>()
+        },
+    );
+    ItemOutcome {
+        record: InsnRecord {
+            index,
+            name,
+            complete: gen.complete,
+            paths: gen.programs.len(),
+            solver_queries: gen.solver_queries,
+            unknown_queries: gen.unknown_queries,
+            infeasible_paths: gen.infeasible_paths,
+            lofi_differences: 0,
+            hifi_differences: 0,
+            deviations: Vec::new(),
+        },
+        generate: gen.wall,
+        execute,
+        cases,
+    }
 }
 
 /// Lower-case hex of `bytes`, as instruction bytes appear in records.
@@ -353,10 +398,10 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     // Arm the run-artifact layer: a manifest directory to aggregate into,
     // and the flight recorder's panic hook pointed at it, so a crash
     // anywhere below leaves `flightrec-panic.jsonl` next to the manifest.
-    let manifest_armed = config.manifest || crate::manifest::env_enabled();
-    let run_id = crate::manifest::resolve_run_id();
+    let manifest_armed = config.manifest || record::env_enabled();
+    let run_id = record::resolve_run_id();
     if manifest_armed {
-        flight::set_dump_dir(crate::manifest::run_dir(&run_id));
+        flight::set_dump_dir(record::run_dir(&run_id));
     }
     flight::install_panic_hook();
     let run_start = Instant::now();
@@ -382,12 +427,6 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     });
     let mut reps = insn_space.classes;
     reps.truncate(config.max_instructions);
-
-    let mut out = CrossValidation {
-        candidates: insn_space.candidates,
-        unique_instructions: reps.len(),
-        ..CrossValidation::default()
-    };
 
     // Steps 2-4, parallel over instructions. Each worker writes its result
     // into the slot for its item index — no result lock, no post-hoc sort:
@@ -419,45 +458,20 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            let gen = generate_for_instruction(
-                &name,
+            let item = run_item(
+                i,
+                name,
                 &rep.bytes,
                 &baseline,
                 config.max_paths_per_insn,
                 insn_deadline,
+                config.lofi_fidelity,
             );
-            let (cases, execute) = trace::timed_with(
-                "stage.execute",
-                || vec![("insn", name.clone())],
-                || {
-                    gen.programs
-                        .iter()
-                        .map(|p| {
-                            let case = run_on_all_targets(p, config.lofi_fidelity);
-                            (p.test_insn.clone(), p.path_id, case)
-                        })
-                        .collect::<Vec<_>>()
-                },
-            );
-            let slot_was_empty = results[i]
-                .set(ItemOutcome {
-                    complete: gen.complete,
-                    n_paths: gen.programs.len(),
-                    solver_queries: gen.solver_queries,
-                    unknown_queries: gen.unknown_queries,
-                    infeasible_paths: gen.infeasible_paths,
-                    generate: gen.wall,
-                    execute,
-                    cases,
-                })
-                .is_ok();
+            let slot_was_empty = results[i].set(item).is_ok();
             assert!(slot_was_empty, "pool delivered item {i} twice");
         })
     });
-    out.completed = !pool_run.deadline_hit;
-    out.skipped_instructions = pool_run.skipped;
-    out.quarantined = pool_run.quarantined.clone();
-    if !out.completed {
+    if pool_run.deadline_hit {
         flight::note("pipeline.deadline", || {
             format!("skipped {} instructions", pool_run.skipped)
         });
@@ -465,59 +479,42 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
 
     // Step 5: sequential difference analysis, in item order (instruction
     // classes are sorted by exploration), so counters and clusters are
-    // deterministic regardless of worker scheduling.
-    let ((), analyze) = trace::timed("stage.analyze", || {
-        for slot in results {
-            // Quarantined or skipped items have no outcome; their absence
-            // is already accounted in `quarantined`/`skipped_instructions`.
-            let Some(item) = slot.into_inner() else {
-                continue;
-            };
-            let ItemOutcome {
-                complete,
-                n_paths,
-                solver_queries: queries,
-                unknown_queries,
-                infeasible_paths,
-                generate,
-                execute,
-                cases,
-            } = item;
-            out.stages.solver_queries += queries;
-            out.stages.generate += generate;
-            out.stages.execute += execute;
-            out.unknown_queries += unknown_queries;
-            out.infeasible_paths += infeasible_paths;
-            if complete {
-                out.fully_explored += 1;
-            }
-            out.total_paths += n_paths;
-            for (insn, path_id, case) in cases {
-                let analysis = analyze_case(&case, &insn, path_id);
-                out.lofi_differences += usize::from(analysis.lofi_differs);
-                out.hifi_differences += usize::from(analysis.hifi_differs);
-                for (target, d) in &analysis.deviations {
-                    let (filtered, clusters) = match *target {
-                        "lofi" => (&mut out.lofi_filtered, &mut out.lofi_clusters),
-                        _ => (&mut out.hifi_filtered, &mut out.hifi_clusters),
-                    };
-                    *filtered += 1;
-                    clusters.add(&case.name, d);
-                    record_deviation(&mut out.deviations, target, &case.name, d);
-                }
-            }
-        }
+    // deterministic regardless of worker scheduling. Quarantined or
+    // skipped items have no outcome; their absence is accounted in
+    // `quarantined`/`skipped_instructions`.
+    let ((folded, generate, execute), analyze) = trace::timed("stage.analyze", || {
+        let (mut generate, mut execute) = (Duration::ZERO, Duration::ZERO);
+        let insns: Vec<InsnRecord> = results
+            .into_iter()
+            .filter_map(|slot| {
+                let item = slot.into_inner()?;
+                generate += item.generate;
+                execute += item.execute;
+                Some(record::analyze(item))
+            })
+            .collect();
+        (record::fold(&insns), generate, execute)
     });
     drop(run_span);
 
     let delta = metrics::snapshot().since(&metrics_start);
-    out.stages = StageStats {
-        explore_insns,
-        analyze,
-        parallel_wall,
-        total_wall: run_start.elapsed(),
-        workers: pool_run.workers,
-        ..out.stages
+    let out = CrossValidation {
+        candidates: insn_space.candidates,
+        unique_instructions: reps.len(),
+        completed: !pool_run.deadline_hit,
+        quarantined: pool_run.quarantined,
+        skipped_instructions: pool_run.skipped,
+        stages: StageStats {
+            explore_insns,
+            generate,
+            execute,
+            analyze,
+            parallel_wall,
+            total_wall: run_start.elapsed(),
+            solver_queries: folded.stages.solver_queries,
+            workers: pool_run.workers,
+        },
+        ..folded
     };
 
     // Under POKEMU_TRACE=1, every finished run leaves an openable trace
@@ -550,25 +547,20 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
         // cumulative set is deterministic for a fixed binary and config and
         // cannot lose bits when an earlier stage (e.g. a bench warm-up)
         // happens to pre-cover something the pipeline also covers.
-        let manifest = crate::manifest::RunManifest::build(
-            &run_id,
-            &config,
-            &out,
-            &delta,
-            &coverage::snapshot(),
-        );
+        let path = record::run_dir(&run_id).join("manifest.json");
+        let doc = record::manifest(&run_id, &config, &out, &delta, &coverage::snapshot());
         // Run-artifact writes must never panic a finished run: a full disk
         // at the end of a campaign still leaves the in-memory result and an
         // attributed trail (shard id + OS error) explaining what is missing
         // on disk.
-        match manifest.write() {
-            Ok(path) => eprintln!("[manifest] wrote {}", path.display()),
-            Err(e) => crate::manifest::note_write_failure("manifest write", &e),
+        match pokemu_rt::write_atomic(&path, &doc) {
+            Ok(()) => eprintln!("[manifest] wrote {}", path.display()),
+            Err(e) => record::note_write_failure("manifest write", &e),
         }
         if !out.deviations.is_empty() {
-            let path = crate::manifest::run_dir(&run_id).join("flightrec-deviations.jsonl");
+            let path = record::run_dir(&run_id).join("flightrec-deviations.jsonl");
             if let Err(e) = flight::dump_to(&path) {
-                crate::manifest::note_write_failure("flight dump", &e);
+                record::note_write_failure("flight dump", &e);
             }
         }
         // Each quarantined item carries the flight snapshot captured at
@@ -580,9 +572,9 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
             }
             events.sort_by_key(|e| e.seq);
             events.dedup();
-            let path = crate::manifest::run_dir(&run_id).join("flightrec-quarantine.jsonl");
+            let path = record::run_dir(&run_id).join("flightrec-quarantine.jsonl");
             if let Err(e) = flight::dump_events_to(&path, &events) {
-                crate::manifest::note_write_failure("quarantine dump", &e);
+                record::note_write_failure("quarantine dump", &e);
             } else {
                 eprintln!("[manifest] quarantine dump {}", path.display());
             }
@@ -592,8 +584,8 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     // (POKEMU_HISTORY=0 opts out) — the cross-run substrate for
     // `pokemu-report compare/trend` and the CI trend gate.
     if history_armed {
-        let hot_delta = crate::ledger::hot_tb_delta(&hot_before, &pokemu_lofi::hot_tbs());
-        crate::ledger::append_record(crate::ledger::build_record(
+        let hot_delta = record::hot_tb_delta(&hot_before, &pokemu_lofi::hot_tbs());
+        record::append_record(record::build_record(
             &run_id,
             &config,
             &out,
@@ -603,19 +595,4 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
         ));
     }
     out
-}
-
-/// Appends one deviation record and leaves a breadcrumb in the flight
-/// recorder (the recorder's merged dump is written alongside the manifest
-/// whenever a run with deviations finishes).
-fn record_deviation(
-    deviations: &mut Vec<DeviationRecord>,
-    target: &str,
-    test: &str,
-    d: &Difference,
-) {
-    flight::note("pipeline.deviation", || {
-        format!("{target} {test} insn={} cause={}", hex(&d.insn), d.cause)
-    });
-    deviations.push(DeviationRecord::new(target, test, d));
 }

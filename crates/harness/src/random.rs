@@ -98,7 +98,7 @@ pub fn run_random_baseline(config: RandomConfig) -> RandomRun {
         out.tests += 1;
         if let Some(d) = compare(&case.hardware, &case.lofi, &prog.test_insn) {
             out.lofi_differences += 1;
-            out.lofi_clusters.add(&prog.name, &d);
+            out.lofi_clusters.add(&prog.name, &d.cause);
         }
     }
     out

@@ -167,7 +167,7 @@ pub struct RunRecord {
     pub schema: u64,
     /// 1-based position in the ledger, assigned at append time.
     pub seq: u64,
-    /// Producer kind: `"pipeline"` or `"bench"`.
+    /// Producer kind: `"pipeline"`, `"fleet"` or `"bench"`.
     pub kind: String,
     /// Run identifier (manifest run id or bench workload name).
     pub run_id: String,
@@ -332,9 +332,11 @@ pub fn append(record: RunRecord) -> io::Result<(u64, PathBuf)> {
 /// Appends one record to `path`, assigning `seq` = last record's seq + 1
 /// (line count + 1 when the tail is unparseable). Once the ledger exceeds
 /// [`AUTO_GC_CAP`] records it is rewritten keeping the newest
-/// [`AUTO_GC_KEEP`], so unattended appends never grow without bound. Seq
-/// assignment is best-effort under concurrent writers (last-writer-wins on
-/// the read-count race); the ledger itself stays line-atomic via `O_APPEND`.
+/// [`AUTO_GC_KEEP`], so unattended appends never grow without bound. The
+/// rewrite goes through [`crate::write_atomic`]: a kill mid-rewrite leaves
+/// the old ledger. Seq assignment is best-effort under concurrent writers
+/// (last-writer-wins on the read-count race); appends stay line-atomic via
+/// `O_APPEND`.
 pub fn append_to(path: &Path, mut record: RunRecord) -> io::Result<u64> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -351,15 +353,8 @@ pub fn append_to(path: &Path, mut record: RunRecord) -> io::Result<u64> {
     record.seq = last_seq + 1;
     let line = record.to_line();
     if lines.len() >= AUTO_GC_CAP {
-        let keep_from = lines.len() - AUTO_GC_KEEP;
-        let mut out = String::with_capacity(existing.len() / 2);
-        for l in &lines[keep_from..] {
-            out.push_str(l);
-            out.push('\n');
-        }
-        out.push_str(&line);
-        out.push('\n');
-        fs::write(path, out)?;
+        let kept = lines[lines.len() - AUTO_GC_KEEP..].join("\n");
+        crate::write_atomic(path, &format!("{kept}\n{line}\n"))?;
     } else {
         let mut f = fs::OpenOptions::new()
             .create(true)
@@ -418,8 +413,8 @@ pub fn verify(path: &Path) -> Result<Vec<String>, String> {
     Ok(violations)
 }
 
-/// Rewrites the ledger keeping only the newest `cap` records. Returns
-/// `(kept, dropped)`.
+/// Rewrites the ledger keeping only the newest `cap` records, atomically
+/// ([`crate::write_atomic`]). Returns `(kept, dropped)`.
 pub fn gc(path: &Path, cap: usize) -> Result<(usize, usize), String> {
     let text =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -428,12 +423,8 @@ pub fn gc(path: &Path, cap: usize) -> Result<(usize, usize), String> {
         return Ok((lines.len(), 0));
     }
     let keep_from = lines.len() - cap;
-    let mut out = String::with_capacity(text.len());
-    for l in &lines[keep_from..] {
-        out.push_str(l);
-        out.push('\n');
-    }
-    fs::write(path, out).map_err(|e| format!("cannot rewrite {}: {e}", path.display()))?;
+    crate::write_atomic(path, &(lines[keep_from..].join("\n") + "\n"))
+        .map_err(|e| format!("cannot rewrite {}: {e}", path.display()))?;
     Ok((cap, keep_from))
 }
 
@@ -807,6 +798,30 @@ mod tests {
         );
         // Appends continue the seq chain past a gc.
         assert_eq!(append_to(&path, rec("pipeline", "next", "fp")).unwrap(), 11);
+    }
+
+    #[test]
+    fn auto_gc_keeps_the_newest_records_and_leaves_no_temp_file() {
+        let path = tmp_ledger("auto-gc");
+        let mut full = String::new();
+        for seq in 1..=AUTO_GC_CAP as u64 {
+            let mut r = rec("pipeline", &format!("r{seq}"), "fp");
+            r.seq = seq;
+            full.push_str(&r.to_line());
+            full.push('\n');
+        }
+        fs::write(&path, full).unwrap();
+        let seq = append_to(&path, rec("pipeline", "next", "fp")).unwrap();
+        assert_eq!(seq, AUTO_GC_CAP as u64 + 1, "seq continues past the gc");
+        let records = load(&path).unwrap();
+        assert_eq!(records.len(), AUTO_GC_KEEP + 1);
+        assert_eq!(records[0].seq, (AUTO_GC_CAP - AUTO_GC_KEEP) as u64 + 1);
+        assert_eq!(records.last().unwrap().seq, seq);
+        assert!(verify(&path).unwrap().is_empty());
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "the rewrite left its temp file behind"
+        );
     }
 
     #[test]

@@ -17,7 +17,10 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (stored as `f64`, like browsers do).
+    /// A non-negative integer literal that fits in `u64`, kept exact so
+    /// 64-bit path ids and hashes read back unchanged.
+    Int(u64),
+    /// Any other JSON number (stored as `f64`, like browsers do).
     Num(f64),
     /// A string.
     Str(String),
@@ -55,14 +58,20 @@ impl Value {
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The numeric payload truncated to `u64`, if this is a number.
+    /// The numeric payload as `u64`, if this is a number: exact for an
+    /// integer literal, truncated for any other number.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|n| n as u64)
+        match self {
+            Value::Int(n) => Some(*n),
+            Value::Num(n) => Some(*n as u64),
+            _ => None,
+        }
     }
 
     /// The elements, if this is an array.
@@ -300,6 +309,9 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err(format!("bad number '{text}'")))
@@ -340,6 +352,27 @@ mod tests {
     fn round_trips_escapes() {
         let v = parse(r#""quote \" backslash \\ unicode \u0041""#).unwrap();
         assert_eq!(v.as_str(), Some("quote \" backslash \\ unicode A"));
+    }
+
+    #[test]
+    fn integers_that_fit_u64_are_exact() {
+        let max = parse("18446744073709551615").unwrap();
+        assert_eq!(max, Value::Int(u64::MAX));
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        // A path id from the fleet baseline: as an f64 it reads back as
+        // 6788597773786650624.
+        let path_id = parse(r#"{"path_id":6788597773786650520}"#).unwrap();
+        assert_eq!(
+            path_id.get("path_id").unwrap().as_u64(),
+            Some(6_788_597_773_786_650_520)
+        );
+        // Past u64, negative or fractional: an f64 as before.
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Value::Num(18_446_744_073_709_551_616.0)
+        );
+        assert_eq!(parse("-3").unwrap(), Value::Num(-3.0));
+        assert_eq!(parse("2.5").unwrap().as_u64(), Some(2));
     }
 
     #[test]

@@ -52,7 +52,25 @@ pub use prop::Gen;
 pub use rng::{mix64, Rng, SplitMix64};
 pub use trace::{SpanEvent, SpanGuard, TracePaths};
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
+
+/// Writes `contents` to `path` through a sibling temp file and a rename,
+/// creating the directory if needed: a crash between the two calls leaves
+/// the previous file intact, never a torn or truncated one. Same-directory
+/// rename is atomic on every platform the repo targets.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
+}
 
 /// The workspace `target/` directory: `$CARGO_TARGET_DIR` if set, else the
 /// nearest ancestor `target/` of the current directory, else `./target`.

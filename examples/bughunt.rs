@@ -44,28 +44,12 @@ fn main() {
         hifi_raw += r.hifi_differences;
         for (cause, count, examples) in r.lofi_clusters.iter() {
             for _ in 0..count {
-                lofi_total.add(
-                    examples.first().map(String::as_str).unwrap_or("?"),
-                    &pokemu::harness::Difference {
-                        components: Vec::new(),
-                        cause: cause.clone(),
-                        insn: Vec::new(),
-                        path_id: 0,
-                    },
-                );
+                lofi_total.add(examples.first().map(String::as_str).unwrap_or("?"), cause);
             }
         }
         for (cause, count, examples) in r.hifi_clusters.iter() {
             for _ in 0..count {
-                hifi_total.add(
-                    examples.first().map(String::as_str).unwrap_or("?"),
-                    &pokemu::harness::Difference {
-                        components: Vec::new(),
-                        cause: cause.clone(),
-                        insn: Vec::new(),
-                        path_id: 0,
-                    },
-                );
+                hifi_total.add(examples.first().map(String::as_str).unwrap_or("?"), cause);
             }
         }
     }

@@ -240,6 +240,12 @@ cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
     diff --baseline tests/baselines/fleet-merged.json \
     --manifest target/fleet/ci/merged.json --check
 echo "fleet merged manifest matches the committed baseline"
+# A shard manifest (also the shard's checkpoint) is the same run document
+# as a run manifest and the merge: the one reader must open it.
+cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
+    coverage --manifest target/fleet/ci/shard-0/manifest.json >/dev/null \
+    || { echo "ERROR: pokemu-report cannot read a fleet shard manifest" >&2; exit 1; }
+echo "pokemu-report reads the shard manifest"
 
 echo "== fleet kill-one-worker self-test (SIGKILL mid-shard must be survivable)"
 # Arm a SIGKILL after every worker's first checkpoint: the coordinator must

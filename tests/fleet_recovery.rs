@@ -6,8 +6,9 @@
 //! the coordinator and resumed from its atomic checkpoint, must produce a
 //! merged manifest **byte-identical** — deviations, coverage populations,
 //! clusters, everything — to an uninterrupted run. This test proves it at
-//! 1, 2, and 4 workers, plus the poisoned-shard demotion path and the
-//! fleet run-ledger record.
+//! 1, 2, and 4 workers, plus the poisoned-shard demotion path, the fleet
+//! run-ledger record, and that a merge's deterministic sections equal a
+//! single-process run's.
 //!
 //! `harness = false`: this binary is also the fleet worker. The
 //! coordinator's default `worker_cmd` is `current_exe() worker ...`, so
@@ -19,7 +20,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use pokemu::harness::fleet::{self, FleetConfig, ShardStatus};
-use pokemu_rt::history;
+use pokemu::harness::{record, run_cross_validation, PipelineConfig};
+use pokemu_rt::history::{self, RunRecord};
 
 /// The workload every scenario runs: one first byte (0xf7 — MUL/DIV/NOT/
 /// NEG/TEST group, 16 classes, known deviations) with a small path cap,
@@ -157,6 +159,79 @@ fn fleet_run_lands_in_ledger() {
         Some(outcome.deviations as u64)
     );
     assert_eq!(rec.det.get("count.poisoned").copied(), Some(0));
+    // Timings are nanoseconds, like every other ledger timing: a merge of
+    // real work takes more than a millisecond.
+    let wall = rec.timing["wall.total"];
+    assert!(wall > 1e6, "wall.total must be in nanoseconds, got {wall}");
+    std::env::remove_var("POKEMU_HISTORY_DIR");
+    std::env::remove_var("POKEMU_HISTORY");
+}
+
+/// `count.*`, `robust.*` and `cluster.*` fields but the fleet-only shard
+/// counts.
+fn shared_det(r: &RunRecord) -> Vec<(&String, &u64)> {
+    let fleet_only = ["count.shards", "count.merged", "count.poisoned"];
+    let shared = |k: &str| {
+        ["count.", "robust.", "cluster."]
+            .iter()
+            .any(|p| k.starts_with(p))
+    };
+    r.det
+        .iter()
+        .filter(|(k, _)| shared(k) && !fleet_only.contains(&k.as_str()))
+        .collect()
+}
+
+/// A sharded run is only a cheaper way to produce the same results: a
+/// 2-shard merge and `run_cross_validation` on the same config write
+/// byte-identical `counts`, `clusters`, `robustness` and `deviations`
+/// sections, and their ledger records agree on every shared `count.*`,
+/// `robust.*` and `cluster.*` field.
+fn fleet_merge_equals_a_single_process_run() {
+    let hdir = scratch("equiv-history");
+    let _ = std::fs::remove_dir_all(&hdir);
+    std::env::set_var("POKEMU_HISTORY_DIR", &hdir);
+    std::env::set_var("POKEMU_HISTORY", "1");
+    std::env::set_var(record::RUN_ID_ENV, "fleet-equiv");
+
+    let root = scratch("equiv");
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cfg = config("equiv", &root, 2);
+    cfg.ledger = true;
+    fleet::run_fleet(&cfg).expect("fleet run");
+    let cv = run_cross_validation(PipelineConfig {
+        first_byte: cfg.first_byte,
+        max_paths_per_insn: cfg.max_paths_per_insn,
+        threads: 2,
+        manifest: true,
+        ..PipelineConfig::default()
+    });
+    assert!(!cv.deviations.is_empty(), "workload must deviate");
+
+    // `counts` is one line; `clusters`, `robustness` and `deviations` are
+    // the last three sections.
+    let sections = |doc: String| {
+        let counts = doc
+            .lines()
+            .find(|l| l.starts_with("\"counts\":"))
+            .map(str::to_owned);
+        let tail = doc.find("\n\"clusters\":").map(|i| doc[i..].to_owned());
+        (
+            counts.expect("counts section"),
+            tail.expect("clusters section"),
+        )
+    };
+    let single = record::run_dir("fleet-equiv").join("manifest.json");
+    assert_eq!(
+        sections(read_merged(&root)),
+        sections(std::fs::read_to_string(single).expect("single-process manifest")),
+        "the merge's deterministic sections differ from the single-process run's"
+    );
+
+    let records = history::load(&history::ledger_path()).expect("ledger parses");
+    let det_of = |kind: &str| shared_det(records.iter().find(|r| r.kind == kind).expect(kind));
+    assert_eq!(det_of("fleet"), det_of("pipeline"));
+    std::env::remove_var(record::RUN_ID_ENV);
     std::env::remove_var("POKEMU_HISTORY_DIR");
     std::env::remove_var("POKEMU_HISTORY");
 }
@@ -177,5 +252,7 @@ fn main() {
     poisoned_shard_is_quarantined_by_name();
     eprintln!("[fleet_recovery] fleet_run_lands_in_ledger");
     fleet_run_lands_in_ledger();
-    println!("fleet_recovery: 3 scenarios passed");
+    eprintln!("[fleet_recovery] fleet_merge_equals_a_single_process_run");
+    fleet_merge_equals_a_single_process_run();
+    println!("fleet_recovery: 4 scenarios passed");
 }

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use pokemu::harness::ledger::{build_record, hot_tb_delta};
+use pokemu::harness::record::{build_record, hot_tb_delta};
 use pokemu::harness::{run_cross_validation, CrossValidation, PipelineConfig};
 use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::{fault, metrics, prof, trace};
