@@ -6,7 +6,6 @@
 //! pokemu-report diff --baseline PATH [--manifest PATH] [--check]
 //! pokemu-report conformance [--roms DIR] [--threads N] [--write]
 //! pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]
-//! pokemu-report bench [--baselines DIR] [--bench-dir PATH] [--check]
 //! pokemu-report compare <run-a> <run-b> [--ledger PATH]
 //! pokemu-report trend [--last N] [--ledger PATH] [--check]
 //! pokemu-report history <gc|verify> [--cap N] [--ledger PATH]
@@ -26,11 +25,13 @@
 //! `coverage` prints the coverage section of a run manifest (written under
 //! `POKEMU_RUN_MANIFEST=1`). `diff` compares a run manifest against a
 //! committed baseline manifest and, with `--check`, fails when coverage
-//! bits present in the baseline are missing from the run or the root-cause
-//! cluster set changed — the CI regression gate. Both subcommands also
-//! accept a fleet merged manifest (`target/fleet/<run>/merged.json`,
-//! DESIGN.md §13); `diff` additionally fails when shards are poisoned that
-//! the baseline did not have, naming each one.
+//! bits present in the baseline are missing from the run, the `counts`
+//! differ, a deterministic counter of the baseline's `metrics.counters`
+//! has another value, or the deviation list differs — the CI regression
+//! gate. Both subcommands also accept a fleet merged manifest
+//! (`target/fleet/<run>/merged.json`, DESIGN.md §13); `diff` additionally
+//! fails when shards are poisoned that the baseline did not have, naming
+//! each one.
 //!
 //! `perf` is the performance-observatory view: the stage attribution the
 //! default mode prints too, from one function over the `pipeline.run` span
@@ -38,10 +39,7 @@
 //! to its four top-level stages), the lofi/hifi throughput ratio over the
 //! run's `target.*` spans (`--check` fails on an e3 inversion: a median
 //! Lo-Fi run slower than a median Hi-Fi run), the hottest lo-fi translation
-//! blocks, and solver time by query origin. `bench` gates the `pokemu-bench`
-//! workload results against the committed baselines in
-//! `tests/baselines/bench/`: counts must match exactly, ratios must stay
-//! inside their bands.
+//! blocks, and solver time by query origin.
 //!
 //! `compare`, `trend`, and `history` operate over the run ledger
 //! (`target/history/ledger.jsonl`, DESIGN.md §12): `compare` diffs two
@@ -59,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pokemu::harness::record::{self, RunDoc};
-use pokemu::harness::Clusters;
+use pokemu::harness::{Clusters, DeviationRecord};
 use pokemu_rt::coverage::MapSnapshot;
 use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::json::{self, escape, Value};
@@ -633,7 +631,6 @@ const REPORT_VIEW: View = View {
             \x20      pokemu-report diff --baseline PATH [--manifest PATH] [--check]\n\
             \x20      pokemu-report conformance [--roms DIR] [--threads N] [--write]\n\
             \x20      pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]\n\
-            \x20      pokemu-report bench [--baselines DIR] [--bench-dir PATH] [--check]\n\
             \x20      pokemu-report compare <run-a> <run-b> [--ledger PATH]\n\
             \x20      pokemu-report trend [--last N] [--ledger PATH] [--check]\n\
             \x20      pokemu-report history <gc|verify> [--cap N] [--ledger PATH]\n\
@@ -716,232 +713,6 @@ fn cmd_view(view: &View, first: Option<String>, args: &mut std::env::Args) -> Ex
         }
         _ => ExitCode::SUCCESS,
     }
-}
-
-/// One committed bench baseline: exact counts plus `[min, max]` ratio
-/// bands.
-struct BenchBaseline {
-    workload: String,
-    counts: Vec<(String, u64)>,
-    ratios: Vec<(String, f64, f64)>,
-}
-
-/// One `pokemu-bench` result file (`<workload>.perf.json`).
-struct BenchRun {
-    counts: BTreeMap<String, u64>,
-    ratios: BTreeMap<String, f64>,
-}
-
-fn load_bench_baseline(path: &Path) -> Result<BenchBaseline, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let workload = v
-        .get("workload")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{}: no workload name", path.display()))?
-        .to_owned();
-    let mut counts = Vec::new();
-    if let Some(Value::Obj(cs)) = v.get("counts") {
-        for (k, c) in cs {
-            counts.push((
-                k.clone(),
-                c.as_u64()
-                    .ok_or_else(|| format!("{}: count {k} not a number", path.display()))?,
-            ));
-        }
-    }
-    let mut ratios = Vec::new();
-    if let Some(Value::Obj(rs)) = v.get("ratios") {
-        for (k, band) in rs {
-            let (min, max) = match (
-                band.get("min").and_then(Value::as_f64),
-                band.get("max").and_then(Value::as_f64),
-            ) {
-                (Some(min), Some(max)) => (min, max),
-                _ => return Err(format!("{}: ratio {k} has no min/max band", path.display())),
-            };
-            ratios.push((k.clone(), min, max));
-        }
-    }
-    Ok(BenchBaseline {
-        workload,
-        counts,
-        ratios,
-    })
-}
-
-fn load_bench_run(path: &Path) -> Result<BenchRun, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        format!(
-            "cannot read {}: {e} (run scripts/bench.sh first)",
-            path.display()
-        )
-    })?;
-    let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let checked = v
-        .get("checked")
-        .ok_or_else(|| format!("{}: no checked section", path.display()))?;
-    let mut counts = BTreeMap::new();
-    if let Some(Value::Obj(cs)) = checked.get("counts") {
-        for (k, c) in cs {
-            counts.insert(k.clone(), c.as_u64().unwrap_or(0));
-        }
-    }
-    let mut ratios = BTreeMap::new();
-    if let Some(Value::Obj(rs)) = checked.get("ratios") {
-        for (k, r) in rs {
-            ratios.insert(k.clone(), r.as_f64().unwrap_or(0.0));
-        }
-    }
-    Ok(BenchRun { counts, ratios })
-}
-
-/// The committed bench baselines: `<repo>/tests/baselines/bench`, located
-/// relative to the target directory like the conformance ROMs.
-fn default_bench_baselines_dir() -> PathBuf {
-    pokemu_rt::target_dir()
-        .parent()
-        .map(|p| p.join("tests/baselines/bench"))
-        .unwrap_or_else(|| PathBuf::from("tests/baselines/bench"))
-}
-
-/// `pokemu-report bench`: gate `pokemu-bench` results against the
-/// committed baselines. Counts compare exactly; ratios must stay inside
-/// their baseline bands. Violations name the workload and field.
-fn cmd_bench(args: &mut std::env::Args) -> ExitCode {
-    let mut baselines = default_bench_baselines_dir();
-    let mut bench_dir = pokemu_rt::target_dir().join("bench");
-    let mut check = false;
-    let mut json_out = false;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--baselines" => baselines = args.next().unwrap_or_default().into(),
-            "--bench-dir" => bench_dir = args.next().unwrap_or_default().into(),
-            "--check" => check = true,
-            "--json" => json_out = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: pokemu-report bench [--baselines DIR] [--bench-dir PATH] [--check] [--json]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(EXIT_MISSING_INPUT);
-            }
-        }
-    }
-
-    let mut names: Vec<PathBuf> = match std::fs::read_dir(&baselines) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect(),
-        Err(e) => {
-            eprintln!("[pokemu-report] cannot read {}: {e}", baselines.display());
-            return ExitCode::from(EXIT_MISSING_INPUT);
-        }
-    };
-    names.sort();
-    if names.is_empty() {
-        eprintln!(
-            "[pokemu-report] no baselines under {} (run pokemu-bench --write-baselines)",
-            baselines.display()
-        );
-        return ExitCode::from(EXIT_MISSING_INPUT);
-    }
-
-    let mut violations: Vec<String> = Vec::new();
-    let mut workload_names: Vec<String> = Vec::new();
-    for bpath in &names {
-        let base = match load_bench_baseline(bpath) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("[pokemu-report] {e}");
-                return ExitCode::from(EXIT_MISSING_INPUT);
-            }
-        };
-        let rpath = bench_dir.join(format!("{}.perf.json", base.workload));
-        let run = match load_bench_run(&rpath) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("[pokemu-report] {e}");
-                return ExitCode::from(EXIT_MISSING_INPUT);
-            }
-        };
-        workload_names.push(base.workload.clone());
-        if !json_out {
-            println!("== bench {}", base.workload);
-        }
-        for (k, want) in &base.counts {
-            let got = run.counts.get(k).copied();
-            let ok = got == Some(*want);
-            if !json_out {
-                println!(
-                    "  count {k:<24} baseline {want:<10} run {:<10} {}",
-                    got.map_or("<missing>".to_owned(), |g| g.to_string()),
-                    if ok { "ok" } else { "MISMATCH" }
-                );
-            }
-            if !ok {
-                violations.push(format!(
-                    "{}: count {k} = {} (baseline {want})",
-                    base.workload,
-                    got.map_or("<missing>".to_owned(), |g| g.to_string())
-                ));
-            }
-        }
-        for (k, min, max) in &base.ratios {
-            let got = run.ratios.get(k).copied();
-            let ok = got.is_some_and(|g| g.is_finite() && g >= *min && g <= *max);
-            if !json_out {
-                println!(
-                    "  ratio {k:<24} band [{min:.4}, {max:.4}] run {:<12} {}",
-                    got.map_or("<missing>".to_owned(), |g| format!("{g:.4}")),
-                    if ok { "ok" } else { "OUT OF BAND" }
-                );
-            }
-            if !ok {
-                violations.push(format!(
-                    "{}: ratio {k} = {} outside [{min:.4}, {max:.4}]",
-                    base.workload,
-                    got.map_or("<missing>".to_owned(), |g| format!("{g:.4}"))
-                ));
-            }
-        }
-    }
-
-    if json_out {
-        println!(
-            "{{\"mode\":\"bench\",\"baselines\":\"{}\",\"workloads\":{},\"violations\":{},\
-             \"ok\":{}}}",
-            escape(&baselines.display().to_string()),
-            jlist(&workload_names),
-            jlist(&violations),
-            violations.is_empty()
-        );
-    }
-    if violations.is_empty() {
-        if !json_out {
-            println!(
-                "[pokemu-report] bench OK: {} workload(s) within baselines",
-                names.len()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-    for v in &violations {
-        eprintln!("[pokemu-report] bench violation: {v}");
-    }
-    if check {
-        eprintln!(
-            "[pokemu-report] bench FAILED: {} violation(s)",
-            violations.len()
-        );
-        return ExitCode::from(EXIT_VIOLATION);
-    }
-    ExitCode::SUCCESS
 }
 
 /// Reads a run, shard or merged manifest with the one run-document reader.
@@ -1083,12 +854,33 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The integer entries of a section (`counts`, `metrics.counters`), none
+/// when it is absent.
+fn numbers(v: Option<&Value>) -> BTreeMap<&str, u64> {
+    match v {
+        Some(Value::Obj(m)) => m
+            .iter()
+            .filter_map(|(k, v)| Some((k.as_str(), v.as_u64()?)))
+            .collect(),
+        _ => BTreeMap::new(),
+    }
+}
+
+/// A count or counter as the diff prints it.
+fn shown(v: Option<u64>) -> String {
+    v.map_or("<missing>".to_owned(), |n| n.to_string())
+}
+
 /// `pokemu-report diff`: baseline-vs-run regression report. Violations are
-/// coverage bits present in the baseline but missing from the run, any
-/// change to a target's root-cause cluster set, and robustness regressions:
-/// a run that did not complete, quarantine/unknown counts growing past the
-/// baseline's, or (for fleet merges) shards newly poisoned vs the
-/// baseline, named individually.
+/// coverage bits present in the baseline but missing from the run; any
+/// change to `counts`; a baseline counter of `metrics.counters` with
+/// another value in the run (bookkeeping counters excluded, as from ledger
+/// `det` sections; counters only the run has are not gated, as coverage
+/// may grow); the first entry where the deviation lists differ (the
+/// clusters are rebuilt from them, so this covers every cluster too); and
+/// robustness regressions: a run that did not complete, quarantine/unknown
+/// counts growing past the baseline's, or (for fleet merges) shards newly
+/// poisoned vs the baseline, named individually.
 fn diff_violations(base: &RunDoc, cur: &RunDoc) -> Vec<String> {
     let mut violations = Vec::new();
     let (b, c) = (&base.results, &cur.results);
@@ -1135,24 +927,48 @@ fn diff_violations(base: &RunDoc, cur: &RunDoc) -> Vec<String> {
             }
         }
     }
-    for ((target, bcauses), (_, ccauses)) in cluster_causes(base).iter().zip(&cluster_causes(cur)) {
-        if ccauses != bcauses {
-            let gone: Vec<&str> = bcauses
-                .iter()
-                .filter(|c| !ccauses.contains(c))
-                .map(String::as_str)
-                .collect();
-            let new: Vec<&str> = ccauses
-                .iter()
-                .filter(|c| !bcauses.contains(c))
-                .map(String::as_str)
-                .collect();
+    let [bcounts, ccounts] = [base, cur].map(|m| numbers(m.root.get("counts")));
+    let names: std::collections::BTreeSet<&str> =
+        bcounts.keys().chain(ccounts.keys()).copied().collect();
+    for k in names {
+        let (bv, cv) = (bcounts.get(k).copied(), ccounts.get(k).copied());
+        if bv != cv {
             violations.push(format!(
-                "clusters.{target}: root-cause set changed (lost: [{}]; new: [{}])",
-                gone.join("; "),
-                new.join("; ")
+                "counts.{k}: baseline {} -> run {}",
+                shown(bv),
+                shown(cv)
             ));
         }
+    }
+    let [bcounters, ccounters] =
+        [base, cur].map(|m| numbers(m.root.get("metrics").and_then(|m| m.get("counters"))));
+    for (k, &v) in &bcounters {
+        let cv = ccounters.get(k).copied();
+        if cv != Some(v)
+            && !record::EXCLUDED_COUNTER_PREFIXES
+                .iter()
+                .any(|p| k.starts_with(p))
+        {
+            violations.push(format!(
+                "metrics.counters.{k}: baseline {v} -> run {}",
+                shown(cv)
+            ));
+        }
+    }
+    let (bd, cd) = (&b.deviations, &c.deviations);
+    if let Some(i) = (0..bd.len().max(cd.len())).find(|&i| bd.get(i) != cd.get(i)) {
+        let entry = |d: Option<&DeviationRecord>| {
+            d.map_or("<none>".to_owned(), |d| {
+                format!("{} {} path_id {}", d.target, d.test, d.path_id)
+            })
+        };
+        violations.push(format!(
+            "deviations differ from entry {i} (baseline {}, run {}): baseline {} vs run {}",
+            bd.len(),
+            cd.len(),
+            entry(bd.get(i)),
+            entry(cd.get(i))
+        ));
     }
     violations
 }
@@ -1239,7 +1055,10 @@ fn cmd_diff(args: &mut std::env::Args) -> ExitCode {
     }
     let violations = diff_violations(&base, &cur);
     if violations.is_empty() {
-        println!("[pokemu-report] diff OK: no coverage regressions, cluster sets unchanged");
+        println!(
+            "[pokemu-report] diff OK: no coverage regressions; counts, counters and deviations \
+             unchanged"
+        );
         return ExitCode::SUCCESS;
     }
     for v in &violations {
@@ -1963,7 +1782,6 @@ fn main() -> ExitCode {
         Some("diff") => return cmd_diff(&mut args),
         Some("conformance") => return cmd_conformance(&mut args),
         Some("perf") => return cmd_view(&PERF_VIEW, None, &mut args),
-        Some("bench") => return cmd_bench(&mut args),
         Some("compare") => return cmd_compare(&mut args),
         Some("trend") => return cmd_trend(&mut args),
         Some("history") => return cmd_history(&mut args),
@@ -2032,5 +1850,36 @@ mod tests {
         r.spans.retain(|s| s.name != "stage.analyze");
         let err = r.check_perf().unwrap_err();
         assert!(err.contains("75.0% of pipeline wall time"), "{err}");
+    }
+
+    /// A completed run document whose only section is these
+    /// `metrics.counters` entries.
+    fn counters_doc(counters: &str) -> RunDoc {
+        RunDoc {
+            run_id: "t".to_owned(),
+            results: pokemu::harness::CrossValidation {
+                completed: true,
+                ..Default::default()
+            },
+            coverage: Default::default(),
+            insns: Vec::new(),
+            root: json::parse(&format!("{{\"metrics\":{{\"counters\":{{{counters}}}}}}}")).unwrap(),
+        }
+    }
+
+    #[test]
+    fn diff_gates_every_baseline_counter_by_name() {
+        let base = counters_doc(r#""lofi.insns":125,"trace.dropped_events":0"#);
+        // Counters only the run has, and bookkeeping counters, pass.
+        let run = r#""lofi.insns":125,"lofi.tb_lookup.hits":9,"trace.dropped_events":3"#;
+        assert!(diff_violations(&base, &counters_doc(run)).is_empty());
+        assert_eq!(
+            diff_violations(&base, &counters_doc(r#""lofi.insns":126"#)),
+            ["metrics.counters.lofi.insns: baseline 125 -> run 126"]
+        );
+        assert_eq!(
+            diff_violations(&base, &counters_doc("")),
+            ["metrics.counters.lofi.insns: baseline 125 -> run <missing>"]
+        );
     }
 }

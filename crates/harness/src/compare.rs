@@ -276,7 +276,7 @@ fn classify(
             // Different faults (or fault identity) on multi-read
             // instructions: fetch-order class.
             if let Outcome::Exception { .. } = target.outcome {
-                if class.map(|c| is_multi_read(c)).unwrap_or(false) {
+                if class.map(is_multi_read).unwrap_or(false) {
                     return RootCause::FetchOrder;
                 }
             }
@@ -293,7 +293,7 @@ fn classify(
         let reg_diff = components
             .iter()
             .any(|c| c.starts_with("esp") || c.starts_with("ebp") || c.starts_with("eax"));
-        if reg_diff && class.map(|c| is_rmw_multi(c)).unwrap_or(false) {
+        if reg_diff && class.map(is_rmw_multi).unwrap_or(false) {
             return RootCause::AtomicityViolation;
         }
     }
@@ -318,7 +318,7 @@ fn classify(
     }
 
     // CR2 / page A-D bit differences on multi-read instructions.
-    if class.map(|c| is_multi_read(c)).unwrap_or(false) {
+    if class.map(is_multi_read).unwrap_or(false) {
         return RootCause::FetchOrder;
     }
 

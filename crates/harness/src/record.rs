@@ -556,10 +556,11 @@ fn parse_insn(v: &Value) -> Option<InsnRecord> {
 // The ledger record
 // ---------------------------------------------------------------------------
 
-/// Counter namespaces excluded from the `det` section: trace bookkeeping is
+/// Counter namespaces excluded from the `det` section and from
+/// `pokemu-report diff`'s counter rule: trace bookkeeping is
 /// scheduling-dependent, and the manifest/history writers must not observe
 /// their own side effects.
-const EXCLUDED_COUNTER_PREFIXES: [&str; 3] = ["trace.", "manifest.", "history."];
+pub const EXCLUDED_COUNTER_PREFIXES: [&str; 3] = ["trace.", "manifest.", "history."];
 
 /// Hot-TB rows recorded per run record (level-3 attribution material).
 const HOT_TB_ROWS: usize = 16;

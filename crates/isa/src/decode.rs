@@ -181,39 +181,39 @@ pub fn op_info(opcode: u16) -> Option<OpInfo> {
         0xfe => i(M).byte().grp(0x03), // inc/dec r/m8
         0xff => i(M).grp(0x7f),        // inc/dec/call/callf/jmp/jmpf/push
         // ---- two-byte opcodes ----
-        0x0f00 => i(M).grp(0x3f),            // sldt/str/lldt/ltr/verr/verw
-        0x0f01 => i(M).grp(0xdf),            // sgdt/sidt/lgdt/lidt/smsw/lmsw/invlpg
-        0x0f02 | 0x0f03 => i(M),             // lar/lsl
-        0x0f06 => i(Bare),                   // clts
-        0x0f08 | 0x0f09 => i(Bare),          // invd/wbinvd
-        0x0f20 | 0x0f22 => i(MovCr),         // mov r32<->cr
-        0x0f30 | 0x0f31 | 0x0f32 => i(Bare), // wrmsr/rdtsc/rdmsr
-        0x0f40..=0x0f4f => i(M),             // cmovcc
-        0x0f80..=0x0f8f => i(RelZ),          // jcc rel32
+        0x0f00 => i(M).grp(0x3f),    // sldt/str/lldt/ltr/verr/verw
+        0x0f01 => i(M).grp(0xdf),    // sgdt/sidt/lgdt/lidt/smsw/lmsw/invlpg
+        0x0f02 | 0x0f03 => i(M),     // lar/lsl
+        0x0f06 => i(Bare),           // clts
+        0x0f08 | 0x0f09 => i(Bare),  // invd/wbinvd
+        0x0f20 | 0x0f22 => i(MovCr), // mov r32<->cr
+        0x0f30..=0x0f32 => i(Bare),  // wrmsr/rdtsc/rdmsr
+        0x0f40..=0x0f4f => i(M),     // cmovcc
+        0x0f80..=0x0f8f => i(RelZ),  // jcc rel32
         0x0f90..=0x0f9f => i(M).byte().grp(0x01), // setcc (reg must be 0)
-        0x0fa0 | 0x0fa1 => i(Bare),          // push/pop fs
-        0x0fa2 => i(Bare),                   // cpuid
-        0x0fa3 => i(M),                      // bt
-        0x0fa4 => i(Mi8),                    // shld imm8
-        0x0fa5 => i(M),                      // shld cl
-        0x0fa8 | 0x0fa9 => i(Bare),          // push/pop gs
-        0x0fab => i(M),                      // bts
-        0x0fac => i(Mi8),                    // shrd imm8
-        0x0fad => i(M),                      // shrd cl
-        0x0faf => i(M),                      // imul r, r/m
-        0x0fb0 => i(M).byte(),               // cmpxchg r/m8
-        0x0fb1 => i(M),                      // cmpxchg
-        0x0fb2 => i(M).memonly(),            // lss
-        0x0fb3 => i(M),                      // btr
-        0x0fb4 | 0x0fb5 => i(M).memonly(),   // lfs/lgs
-        0x0fb6 | 0x0fb7 => i(M),             // movzx
-        0x0fba => i(Mi8).grp(0xf0),          // bt group (reg 4..7)
-        0x0fbb => i(M),                      // btc
-        0x0fbc | 0x0fbd => i(M),             // bsf/bsr
-        0x0fbe | 0x0fbf => i(M),             // movsx
-        0x0fc0 => i(M).byte(),               // xadd r/m8
-        0x0fc1 => i(M),                      // xadd
-        0x0fc8..=0x0fcf => i(Bare),          // bswap
+        0x0fa0 | 0x0fa1 => i(Bare),  // push/pop fs
+        0x0fa2 => i(Bare),           // cpuid
+        0x0fa3 => i(M),              // bt
+        0x0fa4 => i(Mi8),            // shld imm8
+        0x0fa5 => i(M),              // shld cl
+        0x0fa8 | 0x0fa9 => i(Bare),  // push/pop gs
+        0x0fab => i(M),              // bts
+        0x0fac => i(Mi8),            // shrd imm8
+        0x0fad => i(M),              // shrd cl
+        0x0faf => i(M),              // imul r, r/m
+        0x0fb0 => i(M).byte(),       // cmpxchg r/m8
+        0x0fb1 => i(M),              // cmpxchg
+        0x0fb2 => i(M).memonly(),    // lss
+        0x0fb3 => i(M),              // btr
+        0x0fb4 | 0x0fb5 => i(M).memonly(), // lfs/lgs
+        0x0fb6 | 0x0fb7 => i(M),     // movzx
+        0x0fba => i(Mi8).grp(0xf0),  // bt group (reg 4..7)
+        0x0fbb => i(M),              // btc
+        0x0fbc | 0x0fbd => i(M),     // bsf/bsr
+        0x0fbe | 0x0fbf => i(M),     // movsx
+        0x0fc0 => i(M).byte(),       // xadd r/m8
+        0x0fc1 => i(M),              // xadd
+        0x0fc8..=0x0fcf => i(Bare),  // bswap
         _ => return None,
     })
 }
@@ -227,11 +227,11 @@ pub fn lock_allowed(opcode: u16, group_reg: Option<u8>, is_mem: bool) -> bool {
     match opcode {
         0x00 | 0x01 | 0x08 | 0x09 | 0x10 | 0x11 | 0x18 | 0x19 | 0x20 | 0x21 | 0x28 | 0x29
         | 0x30 | 0x31 => true, // alu m, r forms
-        0x80 | 0x81 | 0x82 | 0x83 => group_reg != Some(7), // not cmp
-        0x86 | 0x87 => true,                               // xchg
+        0x80..=0x83 => group_reg != Some(7), // not cmp
+        0x86 | 0x87 => true,                 // xchg
         0xf6 | 0xf7 => matches!(group_reg, Some(2) | Some(3)), // not/neg
         0xfe | 0xff => matches!(group_reg, Some(0) | Some(1)), // inc/dec
-        0x0fab | 0x0fb3 | 0x0fbb => true,                  // bts/btr/btc
+        0x0fab | 0x0fb3 | 0x0fbb => true,    // bts/btr/btc
         0x0fba => matches!(group_reg, Some(5) | Some(6) | Some(7)),
         0x0fb0 | 0x0fb1 => true, // cmpxchg
         0x0fc0 | 0x0fc1 => true, // xadd

@@ -413,7 +413,7 @@ pub(crate) fn execute<D: Dom>(
         | 0x28..=0x2d
         | 0x30..=0x35
         | 0x38..=0x3d => exec_arith::alu_family(&mut x, inst),
-        0x80 | 0x81 | 0x82 | 0x83 => exec_arith::alu_group(&mut x, inst),
+        0x80..=0x83 => exec_arith::alu_group(&mut x, inst),
         0x84 | 0x85 | 0xa8 | 0xa9 => exec_arith::test_ops(&mut x, inst),
         0xf6 | 0xf7 => exec_arith::group_f6(&mut x, inst),
         0xfe | 0xff => exec_arith::group_fe_ff(&mut x, inst),
@@ -475,7 +475,7 @@ pub(crate) fn execute<D: Dom>(
         0x0f02 | 0x0f03 => exec_system::lar_lsl(&mut x, inst),
         0x0f06 => exec_system::clts(&mut x),
         0x0f08 | 0x0f09 => exec_system::cache_ops(&mut x),
-        0x0f30 | 0x0f31 | 0x0f32 => exec_system::msr_ops(&mut x, inst),
+        0x0f30..=0x0f32 => exec_system::msr_ops(&mut x, inst),
         0x0fa2 => exec_system::cpuid(&mut x),
 
         _ => Err(Exception::Ud),

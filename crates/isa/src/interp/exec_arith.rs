@@ -363,7 +363,7 @@ pub(super) fn group_fe_ff<D: Dom>(x: &mut Exec<'_, D>, inst: &Inst<D::V>) -> Exe
             apply(x, &f, F_ALL & !F_CF, 0); // CF preserved
             Ok(Flow::Next)
         }
-        2 | 3 | 4 | 5 => super::exec_control::indirect_ff(x, inst),
+        2..=5 => super::exec_control::indirect_ff(x, inst),
         6 => {
             // push r/m
             let size = inst.opsize();
@@ -651,6 +651,10 @@ pub(super) fn shld_shrd<D: Dom>(x: &mut Exec<'_, D>, inst: &Inst<D::V>) -> ExecR
     Ok(Flow::Next)
 }
 
+/// Stores a bit-test instruction's updated operand where it was read from.
+type WriteBack<'a, D> =
+    Box<dyn FnOnce(&mut Exec<'_, D>, <D as Dom>::V) -> Result<(), Exception> + 'a>;
+
 /// `bt`/`bts`/`btr`/`btc` with register or immediate bit offsets.
 pub(super) fn bit_ops<D: Dom>(x: &mut Exec<'_, D>, inst: &Inst<D::V>) -> ExecResult {
     let size = inst.opsize();
@@ -672,10 +676,7 @@ pub(super) fn bit_ops<D: Dom>(x: &mut Exec<'_, D>, inst: &Inst<D::V>) -> ExecRes
     let wm1 = x.d.constant(w, (w - 1) as u64);
     let bit_in_word = x.d.and(bitoff_full, wm1);
 
-    let (val, write_back): (
-        D::V,
-        Box<dyn FnOnce(&mut Exec<'_, D>, D::V) -> Result<(), Exception>>,
-    ) = match (&mr.mem, offset_is_reg) {
+    let (val, write_back): (D::V, WriteBack<'_, D>) = match (&mr.mem, offset_is_reg) {
         (Some(mem), true) => {
             // Bit-string addressing: the word index extends the EA,
             // sign-extended (negative offsets reach below the base).

@@ -114,12 +114,15 @@ pub(super) fn group_0f00<D: Dom>(x: &mut Exec<'_, D>, inst: &Inst<D::V>) -> Exec
     Ok(Flow::Next)
 }
 
-/// Reads a descriptor for `verr`/`verw`/`lar`/`lsl`; returns width-1
-/// "accessible" plus the raw halves.
+/// A GDT descriptor's raw low and high dwords.
+type RawDescriptor<V> = (V, V);
+
+/// Reads a descriptor for `verr`/`verw`/`lar`/`lsl`: its raw halves, or
+/// `None` for a null, LDT or out-of-table selector.
 fn read_descriptor_for_query<D: Dom>(
     x: &mut Exec<'_, D>,
     sel: D::V,
-) -> Result<Option<(D::V, D::V)>, Exception> {
+) -> Result<Option<RawDescriptor<D::V>>, Exception> {
     let upper = x.d.extract(sel, 15, 2);
     let z = x.d.constant(14, 0);
     let is_null = x.d.eq(upper, z);
@@ -369,8 +372,8 @@ pub(super) fn msr_ops<D: Dom>(x: &mut Exec<'_, D>, inst: &Inst<D::V>) -> ExecRes
                 let edx = x.read_reg(Gpr::Edx as u8, 4);
                 match addr {
                     0x10 => {
-                        let lo = x.d.pick(eax, "wrmsr tsc lo") as u64;
-                        let hi = x.d.pick(edx, "wrmsr tsc hi") as u64;
+                        let lo = x.d.pick(eax, "wrmsr tsc lo");
+                        let hi = x.d.pick(edx, "wrmsr tsc hi");
                         x.m.msrs.tsc = (hi << 32) | lo;
                     }
                     0x174 => x.m.msrs.sysenter_cs = eax,

@@ -426,7 +426,7 @@ fn set_status(m: &mut LofiMachine, status: u32, write_mask: u32) {
 }
 
 fn parity8(v: u32) -> bool {
-    (v as u8).count_ones() % 2 == 0
+    (v as u8).count_ones().is_multiple_of(2)
 }
 
 fn status_of(res: u32, size: u8) -> u32 {
@@ -822,7 +822,7 @@ fn run_helper(core: &mut Core, h: Helper, t: &mut [u32; 256]) -> Result<HelperEx
                         }
                         (q, dividend % v)
                     } else {
-                        let sd = sext64(dividend, 2 * w as u32);
+                        let sd = sext64(dividend, 2 * w);
                         let sv = sext64(v, w);
                         let q = sd.wrapping_div(sv);
                         let r = sd.wrapping_rem(sv);

@@ -206,7 +206,7 @@ pub fn hot_tbs() -> Vec<(u32, u64)> {
 /// Per-TB execution counts for an explicit hot-TB scope key.
 pub fn hot_tbs_in(key: u64) -> Vec<(u32, u64)> {
     let reg = hot_registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.get(&key).map(|t| sorted_hot(t)).unwrap_or_default()
+    reg.get(&key).map(sorted_hot).unwrap_or_default()
 }
 
 /// Clears the hot-TB table, all scopes (bench/test hook for delta

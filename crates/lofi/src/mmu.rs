@@ -257,10 +257,8 @@ fn check_perms(kind: Access, user: bool, rw: bool, us: bool, wp: bool) -> Result
     if user && !us {
         return Err(true);
     }
-    if kind == Access::Write && !rw {
-        if user || wp {
-            return Err(true);
-        }
+    if kind == Access::Write && !rw && (user || wp) {
+        return Err(true);
     }
     Ok(())
 }

@@ -124,7 +124,7 @@ impl Default for CcState {
 }
 
 fn parity8(v: u32) -> u32 {
-    (((v as u8).count_ones() + 1) & 1) as u32
+    ((v as u8).count_ones() + 1) & 1
 }
 
 fn msb(v: u32, size: u8) -> u32 {

@@ -315,7 +315,7 @@ fn translate_insn(e: &mut Emit, inst: &Inst<CVal>, fid: &Fidelity, next_eip: u32
             }
             false
         }
-        0x80 | 0x81 | 0x82 | 0x83 => {
+        0x80..=0x83 => {
             let alu_op = inst.class.group_reg.expect("group");
             let size = if matches!(op, 0x80 | 0x82) { 1 } else { opsize };
             let (a, addr) = e.read_rm(inst, size);
@@ -1311,7 +1311,7 @@ fn translate_insn(e: &mut Emit, inst: &Inst<CVal>, fid: &Fidelity, next_eip: u32
             let g = inst.class.group_reg.expect("group");
             let mr = inst.modrm.as_ref().expect("modrm");
             match g {
-                0 | 1 | 2 | 3 => {
+                0..=3 => {
                     if mr.mem.is_none() {
                         e.push(Uop::Raise { vector: 6 });
                         return true;

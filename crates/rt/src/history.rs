@@ -103,7 +103,7 @@ pub fn ledger_path() -> PathBuf {
 static CONTEXT: RwLock<Option<String>> = RwLock::new(None);
 
 /// Labels every subsequent record with the producing flow (e.g.
-/// `"smoke-bench"`, `"pokemu-bench:pipeline_smoke"`). Folded into every
+/// `"smoke-bench"`, `"pokemu-fleet"`). Folded into every
 /// config fingerprint so different flows — even with identical pipeline
 /// configs — form separate trend groups. Overwrites any earlier label.
 pub fn set_context(label: &str) {
@@ -167,9 +167,9 @@ pub struct RunRecord {
     pub schema: u64,
     /// 1-based position in the ledger, assigned at append time.
     pub seq: u64,
-    /// Producer kind: `"pipeline"`, `"fleet"` or `"bench"`.
+    /// Producer kind: `"pipeline"` or `"fleet"`.
     pub kind: String,
-    /// Run identifier (manifest run id or bench workload name).
+    /// Run identifier (the manifest's or the fleet's run id).
     pub run_id: String,
     /// 16-hex group fingerprint (see [`fingerprint`]).
     pub config_fp: String,
@@ -742,7 +742,7 @@ mod tests {
         let path = tmp_ledger("seq");
         assert_eq!(append_to(&path, rec("pipeline", "a", "fp")).unwrap(), 1);
         assert_eq!(append_to(&path, rec("pipeline", "b", "fp")).unwrap(), 2);
-        assert_eq!(append_to(&path, rec("bench", "c", "fp2")).unwrap(), 3);
+        assert_eq!(append_to(&path, rec("fleet", "c", "fp2")).unwrap(), 3);
         let records = load(&path).unwrap();
         assert_eq!(
             records.iter().map(|r| r.seq).collect::<Vec<_>>(),

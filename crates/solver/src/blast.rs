@@ -216,7 +216,7 @@ impl Blaster {
         let k = usize::BITS - (w - 1).leading_zeros(); // ceil(log2(w)) for w >= 2
         let k = if w == 1 { 0 } else { k as usize };
         let mut cur = a.to_vec();
-        for s in 0..k {
+        for (s, &bit) in amt.iter().enumerate().take(k) {
             let dist = 1usize << s;
             let mut next = Vec::with_capacity(w);
             for i in 0..w {
@@ -231,7 +231,7 @@ impl Blaster {
                 } else {
                     fill
                 };
-                next.push(self.mux_gate(amt[s], shifted, cur[i]));
+                next.push(self.mux_gate(bit, shifted, cur[i]));
             }
             cur = next;
         }

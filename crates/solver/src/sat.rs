@@ -792,9 +792,9 @@ mod tests {
             s.add_clause(&[Lit::pos(row[0]), Lit::pos(row[1])]);
         }
         for j in 0..2 {
-            for i1 in 0..3 {
-                for i2 in (i1 + 1)..3 {
-                    s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
+            for (i1, r1) in p.iter().enumerate() {
+                for r2 in &p[i1 + 1..] {
+                    s.add_clause(&[Lit::neg(r1[j]), Lit::neg(r2[j])]);
                 }
             }
         }
@@ -816,9 +816,9 @@ mod tests {
             s.add_clause(&[Lit::pos(row[0]), Lit::pos(row[1]), Lit::pos(row[2])]);
         }
         for j in 0..3 {
-            for i1 in 0..4 {
-                for i2 in (i1 + 1)..4 {
-                    s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
+            for (i1, r1) in p.iter().enumerate() {
+                for r2 in &p[i1 + 1..] {
+                    s.add_clause(&[Lit::neg(r1[j]), Lit::neg(r2[j])]);
                 }
             }
         }

@@ -130,7 +130,7 @@ pub struct TermPool {
 /// Masks `v` to the low `w` bits.
 #[inline]
 pub fn mask(w: Width, v: u64) -> u64 {
-    debug_assert!(w >= 1 && w <= MAX_WIDTH);
+    debug_assert!((1..=MAX_WIDTH).contains(&w));
     if w == 64 {
         v
     } else {
@@ -141,7 +141,7 @@ pub fn mask(w: Width, v: u64) -> u64 {
 /// Sign-extends the `w`-bit value `v` to 64 bits (as `i64` reinterpreted).
 #[inline]
 pub fn sext64(w: Width, v: u64) -> i64 {
-    debug_assert!(w >= 1 && w <= MAX_WIDTH);
+    debug_assert!((1..=MAX_WIDTH).contains(&w));
     let shift = 64 - w as u32;
     ((v << shift) as i64) >> shift
 }
@@ -216,7 +216,7 @@ impl TermPool {
     ///
     /// Panics if `w` is zero or exceeds [`MAX_WIDTH`].
     pub fn var(&mut self, w: Width, name: &str) -> TermId {
-        assert!(w >= 1 && w <= MAX_WIDTH, "invalid width {w}");
+        assert!((1..=MAX_WIDTH).contains(&w), "invalid width {w}");
         let v = VarId(self.var_names.len() as u32);
         self.var_names.push(name.to_owned());
         self.var_widths.push(w);
@@ -232,7 +232,7 @@ impl TermPool {
     ///
     /// Panics if `w` is zero or exceeds [`MAX_WIDTH`].
     pub fn constant(&mut self, w: Width, v: u64) -> TermId {
-        assert!(w >= 1 && w <= MAX_WIDTH, "invalid width {w}");
+        assert!((1..=MAX_WIDTH).contains(&w), "invalid width {w}");
         let v = mask(w, v);
         self.intern(Node {
             op: Op::Const(v),

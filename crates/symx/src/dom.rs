@@ -244,11 +244,7 @@ impl Dom for Concrete {
     }
 
     fn udiv(&mut self, a: CVal, b: CVal) -> CVal {
-        let v = if b.v == 0 {
-            mask(a.w, u64::MAX)
-        } else {
-            a.v / b.v
-        };
+        let v = a.v.checked_div(b.v).unwrap_or(mask(a.w, u64::MAX));
         CVal { v, w: a.w }
     }
 

@@ -15,7 +15,6 @@
 //! simple (§3.1.2, "Decision Tree").
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use pokemu_rt::{coverage, metrics, Rng};
 use pokemu_solver::{origin, BvSolver, Model, SatResult, TermId, TermPool, VarId, Width};
@@ -163,28 +162,6 @@ pub struct Executor {
     metrics: EngineMetrics,
 }
 
-/// Accumulates wall time into a timer on drop; inert (no clock reads) when
-/// both span sinks are off.
-struct TimeGuard {
-    start: Option<Instant>,
-    timer: metrics::Timer,
-}
-
-impl Drop for TimeGuard {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.timer.add(start.elapsed());
-        }
-    }
-}
-
-fn timed(timer: metrics::Timer) -> TimeGuard {
-    TimeGuard {
-        start: pokemu_rt::trace::active().then(Instant::now),
-        timer,
-    }
-}
-
 /// Registry handles for the engine's counters (`symx.` namespace), resolved
 /// once per engine so hot sites pay one relaxed atomic add.
 #[derive(Debug, Clone, Copy)]
@@ -198,16 +175,6 @@ struct EngineMetrics {
     unknown_branches: metrics::Counter,
     infeasible_paths: metrics::Counter,
     deadline_trips: metrics::Counter,
-    /// Wall time in [`Dom::branch`] (fork bookkeeping + feasibility
-    /// resolution); fed only when timing is on.
-    fork_ns: metrics::Timer,
-    /// Wall time resolving branch feasibility (the prune decision),
-    /// a subset of `fork_ns`.
-    prune_ns: metrics::Timer,
-    /// Wall time constructing and applying path summaries.
-    summary_ns: metrics::Timer,
-    /// Wall time extracting path-end models.
-    model_ns: metrics::Timer,
     /// Path-id coverage bitmap (`coverage.path`): one bit per explored
     /// path-decision hash, modulo the map size.
     path_cov: coverage::CoverageMap,
@@ -228,10 +195,6 @@ impl EngineMetrics {
             unknown_branches: metrics::counter("symx.unknown_branches"),
             infeasible_paths: metrics::counter("symx.infeasible_paths"),
             deadline_trips: metrics::counter("symx.deadline_trips"),
-            fork_ns: metrics::timer("symx.ns.fork"),
-            prune_ns: metrics::timer("symx.ns.prune"),
-            summary_ns: metrics::timer("symx.ns.summary"),
-            model_ns: metrics::timer("symx.ns.model"),
             path_cov: coverage::map("coverage.path", PATH_COVERAGE_BITS),
         }
     }
@@ -363,7 +326,6 @@ impl Executor {
     }
 
     fn check_feasible(&mut self, extra: TermId) -> bool {
-        let _t = timed(self.metrics.prune_ns);
         let _o = origin::scoped(if self.in_summary {
             "summary"
         } else {
@@ -445,7 +407,6 @@ impl Executor {
             }
             self.tree.finish_at(self.cur);
             let model_result = {
-                let _t = timed(self.metrics.model_ns);
                 let _o = origin::scoped(if self.in_summary { "summary" } else { "model" });
                 origin::set_path_id(self.path_hash);
                 self.solver.check_with_model(&self.pool, &self.path)
@@ -517,7 +478,6 @@ impl Executor {
         mut f: impl FnMut(&mut Executor, &[TermId]) -> Vec<TermId>,
     ) -> Option<Summary> {
         let _span = pokemu_rt::span!("symx.summarize");
-        let _t = timed(self.metrics.summary_ns);
         // Run on a scratch tree so the caller's exploration is untouched,
         // with a generous path budget independent of the caller's cap: the
         // whole point of a summary is to fold a multi-path computation, so
@@ -689,7 +649,6 @@ impl Dom for Executor {
             self.kill_path_at_current_node();
             return false;
         }
-        let _t = timed(self.metrics.fork_ns);
         self.stats.branches += 1;
         self.metrics.forks.inc();
         self.branches_this_path += 1;
@@ -815,7 +774,6 @@ impl Dom for Executor {
     fn summary_hook(&mut self, key: &'static str, args: &[TermId]) -> Option<Vec<TermId>> {
         let summary = self.summaries.get(key)?;
         self.metrics.summary_hits.inc();
-        let _t = timed(self.metrics.summary_ns);
         let pool = &mut self.pool;
         let outputs = self
             .summary_outputs
@@ -867,7 +825,6 @@ mod tests {
             if e.branch(gt2, "x>y (2)") {
                 panic!("infeasible path executed");
             }
-            ()
         });
         assert!(r.complete);
         assert_eq!(r.paths.len(), 2);

@@ -163,11 +163,9 @@ mod tests {
         // though the summarized code has three.
         let r = exec.explore(|e| {
             let x = e.fresh_input(8, "input");
-            let out = e
-                .summary_hook("quirky_inc", &[x])
+            e.summary_hook("quirky_inc", &[x])
                 .expect("summary registered")
-                .remove(0);
-            out
+                .remove(0)
         });
         assert!(r.complete);
         assert_eq!(r.paths.len(), 1, "summarized call must not fork");

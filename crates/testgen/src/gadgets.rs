@@ -209,11 +209,9 @@ impl GadgetPlan {
         for r in scratched {
             explicit_gpr.entry(r).or_insert(0);
         }
-        let mut gpr_rank = 0;
         let mut gprs: Vec<(Gpr, u32)> = explicit_gpr.into_iter().collect();
         gprs.sort_by_key(|&(r, _)| r);
-        for (r, v) in gprs {
-            gpr_rank += 1;
+        for (gpr_rank, (r, v)) in (1..).zip(gprs) {
             // ESP last: later gadgets must not use the test stack pointer.
             let rank = if r == Gpr::Esp { 1_000_000 } else { gpr_rank };
             gadgets.push(Gadget {

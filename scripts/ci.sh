@@ -17,6 +17,9 @@ if grep -q '^warning:' target/build.log; then
     exit 1
 fi
 
+echo "== cargo clippy (all targets; any lint fails)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== cargo test"
 cargo test --workspace --offline -q
 
@@ -109,11 +112,12 @@ awk -v frame=explore.state_space -v limit=15 '
     }' target/prof/cross_validation.folded
 
 echo "== coverage gate (run manifest vs committed baseline)"
-# The smoke run above emitted a manifest with the run's coverage bitmaps
-# and root-cause clusters; the gate fails if any coverage bit present in
-# the committed baseline is missing from this run or the cluster set
-# changed. Refresh the baseline with scripts/refresh-baseline.sh after an
-# intentional change.
+# The smoke run above emitted a manifest with the run's coverage bitmaps,
+# work counts, metrics counters and deviations; the gate fails if any
+# coverage bit present in the committed baseline is missing from this run,
+# the counts differ, a deterministic baseline counter has another value,
+# or the deviation list differs. Refresh the baseline with
+# scripts/refresh-baseline.sh after an intentional change.
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
     diff --baseline tests/baselines/smoke-manifest.json \
     --manifest target/run/smoke/manifest.json --check
@@ -130,6 +134,33 @@ if cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
     exit 1
 fi
 echo "coverage gate correctly rejected the coverage-blind run"
+
+echo "== deviation gate self-test (a changed path id must fail the gate)"
+# Prove the deviation rule gates: copy the committed baseline, change the
+# first deviation's path id, and require the diff of the healthy smoke run
+# against it to exit 1 naming that deviation's test.
+rm -rf target/deviation-selftest
+mkdir -p target/deviation-selftest
+sed '0,/"path_id":[0-9]*/s//"path_id":1/' tests/baselines/smoke-manifest.json \
+    >target/deviation-selftest/baseline.json
+tampered=$(grep -m1 -o '"test":"[^"]*","insn":"[^"]*","path_id":1,' \
+    target/deviation-selftest/baseline.json | cut -d'"' -f4 || true)
+[ -n "$tampered" ] \
+    || { echo "ERROR: the smoke baseline has no deviation to tamper with" >&2; exit 1; }
+status=0
+cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
+    diff --baseline target/deviation-selftest/baseline.json \
+    --manifest target/run/smoke/manifest.json --check \
+    >target/deviation-selftest/out.log 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: diff gate exited $status on a changed deviation (want 1):" >&2
+    cat target/deviation-selftest/out.log >&2
+    exit 1
+fi
+grep -qF "$tampered path_id" target/deviation-selftest/out.log \
+    || { echo "ERROR: gate failed without naming the changed deviation ($tampered):" >&2; \
+         cat target/deviation-selftest/out.log >&2; exit 1; }
+echo "diff gate correctly rejected the changed deviation ($tampered)"
 
 echo "== conformance gate (chained corpus vs committed tests/roms/)"
 # Rebuild the conformance corpus and compare every program's behavior
@@ -197,35 +228,6 @@ grep -q 'robustness.quarantined grew' target/run/chaos/diff.out \
     || { echo "ERROR: gate failed for the wrong reason:" >&2; \
          cat target/run/chaos/diff.out >&2; exit 1; }
 echo "diff gate correctly rejected the quarantined run"
-
-echo "== bench gate (fixed-seed workloads vs committed baselines)"
-# Run every pokemu-bench workload and gate against tests/baselines/bench/:
-# work counts must match exactly, timing ratios must stay inside their
-# bands. Refresh with scripts/refresh-baseline.sh after intentional change.
-cargo run --release --offline -q -p pokemu-bench --bin pokemu-bench
-cargo run --release --offline -p pokemu-bench --bin pokemu-report -- bench --check
-
-echo "== bench gate self-test (an injected solver latency must fail the gate)"
-# Re-run only the pipeline_smoke workload with a 50 ms latency fault armed
-# on every solver.check call: the solver-query-vs-calibration ratio blows
-# its band by orders of magnitude, and the gate must fail naming the
-# workload. The other workloads' result files are untouched and stay valid.
-mkdir -p target/bench
-POKEMU_FAULT='solver.check:latency=50:*' \
-    cargo run --release --offline -q -p pokemu-bench --bin pokemu-bench -- \
-    --only pipeline_smoke >/dev/null
-if cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    bench --check >target/bench/selftest.out 2>&1; then
-    echo "ERROR: bench gate passed a run with injected solver latency" >&2
-    exit 1
-fi
-grep -q 'pipeline_smoke: ratio solver_query_over_calib' target/bench/selftest.out \
-    || { echo "ERROR: bench gate failed without naming the workload:" >&2; \
-         cat target/bench/selftest.out >&2; exit 1; }
-# Restore a clean result so a re-entrant CI run starts from a passing state.
-cargo run --release --offline -q -p pokemu-bench --bin pokemu-bench -- \
-    --only pipeline_smoke >/dev/null
-echo "bench gate correctly rejected the latency-faulted run"
 
 echo "== fleet gate (crash-safe sharded exploration, DESIGN.md §13)"
 # A healthy 2-shard fleet run over the 0xf7 group must reproduce the

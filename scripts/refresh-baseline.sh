@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Regenerates the committed CI baselines from fresh runs:
-#   - tests/baselines/smoke-manifest.json (smoke-run coverage/cluster gate)
+#   - tests/baselines/smoke-manifest.json (smoke-run diff gate)
 #   - tests/roms/*.json (chained conformance corpus, DESIGN.md §9)
-#   - tests/baselines/bench/*.json (bench-trajectory gate, DESIGN.md §10)
+#   - tests/baselines/fleet-merged.json (fleet merge gate, DESIGN.md §13)
 #
 # One command: after an intentional coverage/cluster/corpus change, run this
 # and commit the updated files. The baselines' comparable sections are
 # deterministic for the fixed configs, so the files are machine- and
-# thread-count-independent; timings vary but are never compared — the bench
-# baselines gate counts exactly and timings only as wide self-normalizing
-# ratio bands (measured/8 .. measured*8).
+# thread-count-independent; timings vary but are never compared.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,10 +20,6 @@ echo "baseline refreshed: tests/baselines/smoke-manifest.json"
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
     conformance --roms tests/roms --write
 echo "baseline refreshed: tests/roms/"
-
-cargo run --release --offline -q -p pokemu-bench --bin pokemu-bench -- \
-    --write-baselines tests/baselines/bench
-echo "baseline refreshed: tests/baselines/bench/"
 
 # Fleet merged-manifest baseline (DESIGN.md §13): same workload and shard
 # count as the ci.sh fleet gate. The merge is deterministic content only

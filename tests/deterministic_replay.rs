@@ -317,13 +317,13 @@ fn prop_seed_replays_chained_programs_byte_for_byte() {
         panic!("forced failure to capture the seed");
     };
 
-    let fail = run_report("chain_replay", 16, &property).expect_err("property must fail");
+    let fail = run_report("chain_replay", 16, property).expect_err("property must fail");
     let first = built.lock().unwrap().clone();
     assert!(!first.0.is_empty());
 
     std::env::set_var(SEED_ENV, format!("{:#x}", fail.seed));
     std::env::set_var(SIZE_ENV, fail.size.to_string());
-    let replayed = run_report("chain_replay", 16, &property);
+    let replayed = run_report("chain_replay", 16, property);
     std::env::remove_var(SEED_ENV);
     std::env::remove_var(SIZE_ENV);
     replayed.expect_err("replay must reproduce the failure");
@@ -376,7 +376,7 @@ fn prop_seed_env_replays_the_failing_case_byte_for_byte() {
     };
 
     // First run: find and shrink a failure (no env vars involved).
-    let fail = run_report("forced_failure", 64, &property).expect_err("property must fail");
+    let fail = run_report("forced_failure", 64, property).expect_err("property must fail");
 
     // The reported (seed, size) pair must regenerate the counterexample.
     let mut g = Gen::new(fail.seed, fail.size);
@@ -390,7 +390,7 @@ fn prop_seed_env_replays_the_failing_case_byte_for_byte() {
     // message would.
     std::env::set_var(SEED_ENV, format!("{:#x}", fail.seed));
     std::env::set_var(SIZE_ENV, fail.size.to_string());
-    let replayed = run_report("forced_failure", 64, &property);
+    let replayed = run_report("forced_failure", 64, property);
     std::env::remove_var(SEED_ENV);
     std::env::remove_var(SIZE_ENV);
 

@@ -38,7 +38,7 @@ fn scratch(name: &str) -> PathBuf {
 fn record_run(run_id: &str, config: PipelineConfig) -> (RunRecord, CrossValidation) {
     let before = metrics::snapshot();
     let hot_before: BTreeMap<u32, u64> = pokemu::lofi::hot_tbs().into_iter().collect();
-    let cv = run_cross_validation(config.clone());
+    let cv = run_cross_validation(config);
     let delta = metrics::snapshot().since(&before);
     let hot_delta = hot_tb_delta(&hot_before, &pokemu::lofi::hot_tbs());
     let record = build_record(

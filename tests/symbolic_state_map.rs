@@ -1,9 +1,10 @@
 //! F3: the symbolic machine-state map of the paper's Figure 3.
 //!
 //! Asserts exactly which parts of the machine state exploration marks
-//! symbolic and which stay concrete.
+//! symbolic and which stay concrete, and (E7) what the descriptor-load
+//! summary does to the exploration of a segment load.
 
-use pokemu::explore::symstate;
+use pokemu::explore::{explore_state_space, symstate, StateSpaceConfig};
 use pokemu::harness::baseline_snapshot;
 use pokemu::isa::state::Gpr;
 use pokemu::symx::{Dom, Executor};
@@ -292,4 +293,41 @@ fn named_locations_round_trip_to_gadgets() {
     }
     // Non-state variables (summary formals) do not.
     assert!(symstate::state_item_of("summary_lo_0", 1).is_none());
+}
+
+/// E7: `mov ds, ax` (`8e d8`) at a 64-path cap. With the descriptor-load
+/// summary the exploration completes in 16 paths; without it the in-line
+/// descriptor-cache recomputations multiply the replay space and no path
+/// finishes within the budget. The solver query counts are the
+/// exploration's own, so concurrent tests cannot move them.
+#[test]
+fn descriptor_summary_completes_mov_ds_ax_within_the_path_cap() {
+    let baseline = baseline_snapshot();
+    let explore = |use_summaries| {
+        explore_state_space(
+            &[0x8e, 0xd8],
+            &baseline,
+            StateSpaceConfig {
+                max_paths: 64,
+                use_summaries,
+                ..StateSpaceConfig::default()
+            },
+        )
+    };
+    let with = explore(true);
+    assert_eq!(
+        (with.paths.len(), with.complete, with.solver_queries),
+        (16, true, 199),
+        "with the summary: (paths, complete, solver queries)"
+    );
+    let without = explore(false);
+    assert_eq!(
+        (
+            without.paths.len(),
+            without.complete,
+            without.solver_queries
+        ),
+        (0, false, 68),
+        "without the summary: (paths, complete, solver queries)"
+    );
 }
