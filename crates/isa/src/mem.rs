@@ -8,8 +8,7 @@
 //! per byte ("we modify FuzzBALL to create those variables on demand only
 //! when a location is accessed", §3.3.2).
 
-use std::collections::HashMap;
-
+use pokemu_rt::FxHashMap;
 use pokemu_symx::Dom;
 
 const PAGE_SHIFT: u32 = 12;
@@ -45,7 +44,7 @@ impl<V: Copy> Page<V> {
 /// Sparse physical memory over domain values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Memory<V> {
-    pages: HashMap<u32, Page<V>>,
+    pages: FxHashMap<u32, Page<V>>,
     policy: MissingPolicy,
     size: u32,
 }
@@ -61,7 +60,7 @@ impl<V: Copy> Memory<V> {
     /// the zero policy.
     pub fn new() -> Self {
         Memory {
-            pages: HashMap::new(),
+            pages: FxHashMap::default(),
             policy: MissingPolicy::Zero,
             size: crate::state::PHYS_MEM_SIZE,
         }
@@ -122,7 +121,7 @@ impl<V: Copy> Memory<V> {
         page.bytes[(addr as usize) & (PAGE_SIZE - 1)] = Some(v);
     }
 
-    /// Reads `n` bytes (1, 2 or 4) little-endian as one value of width `8n`.
+    /// Reads `n` bytes (1, 2, 4 or 8) little-endian as one value of width `8n`.
     pub fn read<D: Dom<V = V>>(&mut self, d: &mut D, addr: u32, n: u8) -> V {
         debug_assert!(matches!(n, 1 | 2 | 4 | 8));
         let mut v = self.read_u8(d, addr);

@@ -40,13 +40,12 @@ pub mod uop;
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::{Mutex, OnceLock};
 
 use pokemu_isa::snapshot::{Outcome, SegSnapshot, Snapshot};
 use pokemu_isa::state::Exception;
-use pokemu_rt::metrics;
+use pokemu_rt::{metrics, FxHashMap};
 
 pub use exec::{Core, TbExit};
 pub use state::{Fidelity, LofiMachine};
@@ -158,8 +157,8 @@ thread_local! {
 /// Scoping exists so per-program attribution (conformance runs) does not
 /// bleed into the default scope the pipeline dumps for
 /// `pokemu-report perf`.
-fn hot_registry() -> &'static Mutex<HashMap<u64, HashMap<u32, u64>>> {
-    static HOT: OnceLock<Mutex<HashMap<u64, HashMap<u32, u64>>>> = OnceLock::new();
+fn hot_registry() -> &'static Mutex<FxHashMap<u64, FxHashMap<u32, u64>>> {
+    static HOT: OnceLock<Mutex<FxHashMap<u64, FxHashMap<u32, u64>>>> = OnceLock::new();
     HOT.get_or_init(Mutex::default)
 }
 
@@ -186,7 +185,7 @@ pub fn hot_scope(key: u64) -> HotScope {
     HotScope { prev }
 }
 
-fn sorted_hot(table: &HashMap<u32, u64>) -> Vec<(u32, u64)> {
+fn sorted_hot(table: &FxHashMap<u32, u64>) -> Vec<(u32, u64)> {
     let mut v: Vec<(u32, u64)> = table.iter().map(|(&eip, &n)| (eip, n)).collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     v
@@ -248,13 +247,13 @@ fn pages(tb: &Tb) -> RangeInclusive<u32> {
 pub struct Lofi {
     core: Core,
     /// Entry EIP → live block.
-    tbs: HashMap<u32, LiveTb>,
+    tbs: FxHashMap<u32, LiveTb>,
     /// Virtual page → entry EIPs of blocks whose guest bytes overlap it.
     /// An entry goes stale when its block is invalidated through another
     /// page and retranslated with a different extent.
-    tbs_by_page: HashMap<u32, Vec<u32>>,
+    tbs_by_page: FxHashMap<u32, Vec<u32>>,
     /// Execution counts of invalidated blocks, by entry EIP.
-    dead_execs: HashMap<u32, u64>,
+    dead_execs: FxHashMap<u32, u64>,
     stats: LofiStats,
     tally: Tally,
     metrics: LofiMetrics,
@@ -284,16 +283,9 @@ impl Drop for Lofi {
                 c.add(n);
             }
         }
-        let merged = self.exec_counts();
-        if merged.is_empty() {
-            return;
-        }
         let key = HOT_SCOPE.with(|c| c.get());
         let mut reg = hot_registry().lock().unwrap_or_else(|e| e.into_inner());
-        let table = reg.entry(key).or_default();
-        for (eip, n) in merged {
-            *table.entry(eip).or_default() += n;
-        }
+        self.add_exec_counts(reg.entry(key).or_default());
     }
 }
 
@@ -308,9 +300,9 @@ impl Lofi {
     pub fn new(fid: Fidelity) -> Self {
         Lofi {
             core: Core::new(fid),
-            tbs: HashMap::new(),
-            tbs_by_page: HashMap::new(),
-            dead_execs: HashMap::new(),
+            tbs: FxHashMap::default(),
+            tbs_by_page: FxHashMap::default(),
+            dead_execs: FxHashMap::default(),
             stats: LofiStats::default(),
             tally: Tally::default(),
             metrics: LofiMetrics::new(),
@@ -340,7 +332,7 @@ impl Lofi {
             },
             tbs: self.tbs.iter().map(|(&eip, t)| (eip, live(t))).collect(),
             tbs_by_page: self.tbs_by_page.clone(),
-            dead_execs: HashMap::new(),
+            dead_execs: FxHashMap::default(),
             stats: LofiStats::default(),
             tally: Tally::default(),
             metrics: self.metrics,
@@ -376,18 +368,21 @@ impl Lofi {
     /// Per-TB execution counts for this instance (not yet merged into the
     /// global hot-TB registry), hottest first with the [`hot_tbs`] order.
     pub fn tb_exec_counts(&self) -> Vec<(u32, u64)> {
-        sorted_hot(&self.exec_counts())
+        let mut counts = FxHashMap::default();
+        self.add_exec_counts(&mut counts);
+        sorted_hot(&counts)
     }
 
-    /// Executions by entry EIP, live and invalidated blocks together;
-    /// blocks a fork inherited and never ran are left out.
-    fn exec_counts(&self) -> HashMap<u32, u64> {
-        let mut merged = self.dead_execs.clone();
-        for (&eip, live) in &self.tbs {
-            *merged.entry(eip).or_default() += live.execs;
+    /// Adds executions by entry EIP, live and invalidated blocks together,
+    /// into `table`; blocks a fork inherited and never ran are left out.
+    fn add_exec_counts(&self, table: &mut FxHashMap<u32, u64>) {
+        let dead = self.dead_execs.iter().map(|(&eip, &n)| (eip, n));
+        let live = self.tbs.iter().map(|(&eip, live)| (eip, live.execs));
+        for (eip, n) in dead.chain(live) {
+            if n > 0 {
+                *table.entry(eip).or_default() += n;
+            }
         }
-        merged.retain(|_, n| *n > 0);
-        merged
     }
 
     /// Invalidates every block overlapping a page written since the last

@@ -12,9 +12,8 @@
 //! correct): present/rw/us checks, CR0.WP, accessed/dirty maintenance, and
 //! 4-MiB pages, with a software TLB that is flushed on CR writes.
 
-use std::collections::{HashMap, HashSet};
-
 use pokemu_isa::state::{cr0, cr4, Exception, Seg};
+use pokemu_rt::{FxHashMap, FxHashSet};
 
 use crate::state::{Fidelity, LofiMachine};
 
@@ -44,12 +43,12 @@ struct TlbEntry {
 /// The software TLB.
 #[derive(Debug, Default, Clone)]
 pub struct Tlb {
-    entries: HashMap<u32, TlbEntry>,
+    entries: FxHashMap<u32, TlbEntry>,
     /// Physical pages holding page-table structures seen by walks. Guest
     /// writes into them flush the TLB, keeping translation coherent with
     /// the TLB-less hardware oracle (QEMU's softmmu tracks page-table
     /// pages for the same reason).
-    table_pages: HashSet<u32>,
+    table_pages: FxHashSet<u32>,
 }
 
 impl Tlb {

@@ -8,6 +8,7 @@
 //! | `rand` | [`rng`]: seedable SplitMix64 / xoshiro256** with the small `Rng` surface the repo uses |
 //! | `crossbeam` (scoped threads) | [`pool`]: `std::thread::scope` work queue with per-worker stats |
 //! | `proptest` | [`prop`]: the [`prop!`] macro — N cases, PRNG generators, shrink-by-halving, `POKEMU_PROP_SEED` replay |
+//! | `rustc-hash` | [`fxhash`]: [`FxHashMap`] / [`FxHashSet`], a seedless multiply-rotate hash for maps keyed by the program's own integers and terms |
 //! | `tracing` + `metrics` + `serde_json` | [`trace`]: scoped spans with two sinks, Chrome `trace_event` events and a folded `.folded` profile for flamegraph tooling ([`prof`] holds the folded table and its export); [`metrics`]: counters / timers / log-scale histograms with snapshot-diff; [`json`]: the matching zero-dep JSON reader |
 //!
 //! On top of the replacements, observability primitives with no external
@@ -32,6 +33,7 @@
 pub mod coverage;
 pub mod fault;
 pub mod flight;
+pub mod fxhash;
 pub mod history;
 pub mod json;
 pub mod metrics;
@@ -44,6 +46,7 @@ pub mod trace;
 pub use coverage::{CoverageMap, CoverageSnapshot, MapSnapshot};
 pub use fault::FaultKind;
 pub use flight::FlightEvent;
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use history::RunRecord;
 pub use metrics::{Counter, Histogram, MetricsSnapshot, Timer};
 pub use pool::{for_each, PoolRun, QuarantineRecord, WorkerStats};

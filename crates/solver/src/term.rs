@@ -12,6 +12,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use pokemu_rt::FxHashMap;
+
 /// Width of a bit-vector term in bits. Valid widths are `1..=64`.
 pub type Width = u8;
 
@@ -122,7 +124,7 @@ struct Node {
 #[derive(Debug, Default)]
 pub struct TermPool {
     nodes: Vec<Node>,
-    interned: HashMap<Node, TermId>,
+    interned: FxHashMap<Node, TermId>,
     var_names: Vec<String>,
     var_widths: Vec<Width>,
 }

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use pokemu_rt::{coverage, metrics, Rng};
+use pokemu_rt::{coverage, metrics, FxHashMap, Rng};
 use pokemu_solver::{origin, BvSolver, Model, SatResult, TermId, TermPool, VarId, Width};
 
 use crate::dom::Dom;
@@ -135,18 +135,18 @@ pub struct Executor {
     stats: ExploreStats,
     /// Stable name -> variable mapping so "the same" machine-state location
     /// maps to the same symbolic variable on every path (§3.3.1).
-    named_vars: HashMap<String, TermId>,
+    named_vars: FxHashMap<String, TermId>,
     /// Registered path summaries keyed by call-site name (§3.3.2).
     summaries: HashMap<&'static str, Summary>,
     /// Outputs of each summary application, keyed by (call-site name,
     /// argument terms). Hash-consing makes a repeated application return
     /// the same terms and intern nothing new, so replaying the cached
     /// outputs on later paths is exact.
-    summary_outputs: HashMap<(&'static str, Vec<TermId>), Vec<TermId>>,
+    summary_outputs: FxHashMap<(&'static str, Vec<TermId>), Vec<TermId>>,
     /// Cache of `pick` results keyed by (tree position, term) so replays of
     /// the same path prefix concretize identically even as the solver's
     /// learned clauses change its models.
-    pick_cache: HashMap<(NodeId, TermId), u64>,
+    pick_cache: FxHashMap<(NodeId, TermId), u64>,
     // ---- per-path state ----
     cur: NodeId,
     path: Vec<TermId>,
@@ -233,10 +233,10 @@ impl Executor {
             rng: Rng::seed_from_u64(config.seed),
             config,
             stats: ExploreStats::default(),
-            named_vars: HashMap::new(),
+            named_vars: FxHashMap::default(),
             summaries: HashMap::new(),
-            summary_outputs: HashMap::new(),
-            pick_cache: HashMap::new(),
+            summary_outputs: FxHashMap::default(),
+            pick_cache: FxHashMap::default(),
             cur: NodeId::ROOT,
             path: Vec::new(),
             path_hash: FNV_OFFSET,

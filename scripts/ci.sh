@@ -7,6 +7,16 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+echo "== lock files name no registry package"
+# Every package is a path dependency inside the repository (DESIGN.md §5);
+# a `source = ` line means something came from a registry or a git remote.
+for lock in Cargo.lock liftbench/Cargo.lock; do
+    if grep -n '^source = ' "$lock"; then
+        echo "ERROR: $lock has a package with a source (see above)" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo build --release (all targets; any warning fails)"
 # Cargo replays the cached warnings of up-to-date crates, so a warm build
 # still reports every warning in the workspace, tests and examples included.
