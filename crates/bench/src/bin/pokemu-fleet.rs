@@ -1,11 +1,10 @@
-//! `pokemu-fleet` — crash-safe sharded exploration fleet (DESIGN.md §13).
+//! `pokemu-fleet` — crash-safe sharded exploration fleet (DESIGN.md §12).
 //!
 //! ```text
 //! pokemu-fleet run [--run-id ID] [--root DIR] [--shards N]
 //!                  [--first-byte B] [--second-byte B] [--max-paths N]
 //!                  [--max-attempts N] [--backoff-ms MS] [--seed N]
 //!                  [--heartbeat-ms MS] [--stale-ms MS] [--no-incremental]
-//!                  [--no-ledger]
 //! pokemu-fleet worker --shard N --shards M --root DIR ...   (internal)
 //! ```
 //!
@@ -21,7 +20,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pokemu::harness::fleet::{self, FleetConfig, ShardStatus};
-use pokemu_rt::history;
 
 /// CLI failure with its exit code carried explicitly, so `main` never has
 /// to classify errors by sniffing the message text.
@@ -85,7 +83,6 @@ fn parse_run_args(args: &[String]) -> Result<FleetConfig, String> {
                     Duration::from_millis(val("--stale-ms")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--no-incremental" => config.incremental = false,
-            "--no-ledger" => config.ledger = false,
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -127,7 +124,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 fn main() -> ExitCode {
-    history::set_context("pokemu-fleet");
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("worker") => ExitCode::from(fleet::worker_main(&args[1..]) as u8),

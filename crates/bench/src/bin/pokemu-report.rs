@@ -6,15 +6,7 @@
 //! pokemu-report diff --baseline PATH [--manifest PATH] [--check]
 //! pokemu-report conformance [--roms DIR] [--threads N] [--write]
 //! pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]
-//! pokemu-report compare <run-a> <run-b> [--ledger PATH]
-//! pokemu-report trend [--last N] [--ledger PATH] [--check]
-//! pokemu-report history <gc|verify> [--cap N] [--ledger PATH]
 //! ```
-//!
-//! Every mode also accepts `--json` for a single-line machine-readable
-//! report on stdout (gate diagnostics stay on stderr, exit codes are
-//! unchanged), so fleet tooling and CI consume reports without scraping
-//! text.
 //!
 //! The default (no subcommand) mode reads the Chrome `trace_event` JSON and
 //! the run's metrics JSONL that `run_cross_validation` writes under
@@ -29,7 +21,7 @@
 //! differ, a deterministic counter of the baseline's `metrics.counters`
 //! has another value, or the deviation list differs — the CI regression
 //! gate. Both subcommands also accept a fleet merged manifest
-//! (`target/fleet/<run>/merged.json`, DESIGN.md §13); `diff` additionally
+//! (`target/fleet/<run>/merged.json`, DESIGN.md §12); `diff` additionally
 //! fails when shards are poisoned that the baseline did not have, naming
 //! each one.
 //!
@@ -41,14 +33,6 @@
 //! Lo-Fi run slower than a median Hi-Fi run), the hottest lo-fi translation
 //! blocks, and solver time by query origin.
 //!
-//! `compare`, `trend`, and `history` operate over the run ledger
-//! (`target/history/ledger.jsonl`, DESIGN.md §12): `compare` diffs two
-//! records and decomposes the wall-time delta into stage → solver-origin →
-//! hot-TB contributions covering ≥90% of it; `trend` applies the
-//! integer-only median/MAD gate per `(kind, config-fingerprint)` group
-//! (`--check` fails by metric name); `history gc`/`history verify` manage
-//! retention and content-hash integrity.
-//!
 //! Exit codes (all modes): 0 OK, 1 gate violation (the violating metric /
 //! map / cluster names are printed), 2 missing or unreadable input.
 
@@ -59,8 +43,7 @@ use std::process::ExitCode;
 use pokemu::harness::record::{self, RunDoc};
 use pokemu::harness::{Clusters, DeviationRecord};
 use pokemu_rt::coverage::MapSnapshot;
-use pokemu_rt::history::{self, RunRecord};
-use pokemu_rt::json::{self, escape, Value};
+use pokemu_rt::json::{self, Value};
 use pokemu_rt::metrics::MetricsSnapshot;
 use pokemu_rt::trace;
 
@@ -509,82 +492,6 @@ impl Report {
         }
         Ok(())
     }
-
-    /// The default mode's `--json` fields.
-    fn json(&self) -> String {
-        let stages: Vec<String> = ["pipeline.run"]
-            .into_iter()
-            .chain(RUN_STAGES)
-            .chain(WORKER_STAGES)
-            .map(|name| format!("\"{}\":{}", escape(name), jnum(self.stage_total(name))))
-            .collect();
-        let counters: Vec<String> = self
-            .metrics
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-            .collect();
-        let hists: Vec<String> = self
-            .metrics
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{}\":{{\"n\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                    escape(k),
-                    h.count,
-                    jnum(h.mean()),
-                    h.p50(),
-                    h.p95(),
-                    h.p99()
-                )
-            })
-            .collect();
-        format!(
-            "\"stage_us\":{{{}}},\"counters\":{{{}}},\"histograms\":{{{}}}",
-            stages.join(","),
-            counters.join(","),
-            hists.join(",")
-        )
-    }
-
-    /// `perf`'s `--json` fields.
-    fn perf_json(&self, hot: &[(u64, u64)], top: usize) -> String {
-        let attribution = self.attribution();
-        let stages: Vec<String> = attribution
-            .stages
-            .iter()
-            .map(|(name, us)| format!("\"{}\":{}", escape(name), jnum(us * 1000.0)))
-            .collect();
-        let target_mean_ns = |target: &str| jnum(mean(&self.target_spans(target)) * 1000.0);
-        let hot_rows: Vec<String> = hot
-            .iter()
-            .take(top)
-            .map(|(eip, execs)| format!("[{eip},{execs}]"))
-            .collect();
-        let origins: Vec<String> = pokemu::solver::origin::ORIGINS
-            .iter()
-            .map(|o| {
-                format!(
-                    "\"{o}\":{{\"queries\":{},\"ns\":{}}}",
-                    self.metrics.counter(&format!("solver.queries.{o}")),
-                    self.metrics.timer_ns(&format!("solver.ns.{o}"))
-                )
-            })
-            .collect();
-        format!(
-            "\"total_ns\":{},\"attribution\":{{{}}},\
-             \"target_mean_ns\":{{\"hifi\":{},\"lofi\":{},\"hardware\":{}}},\
-             \"hot_tbs\":[{}],\"solver\":{{{}}}",
-            jnum(attribution.run_us * 1000.0),
-            stages.join(","),
-            target_mean_ns("hifi"),
-            target_mean_ns("lofi"),
-            target_mean_ns("hardware"),
-            hot_rows.join(","),
-            origins.join(",")
-        )
-    }
 }
 
 /// Parses `<run>.hot.jsonl` (the pipeline's hot-TB dump) into
@@ -610,45 +517,34 @@ fn load_hot_tbs(dir: &Path, run: &str) -> Vec<(u64, u64)> {
 }
 
 /// The default mode and `perf`: two views over one exported run that share
-/// flags, loading, the `--json` envelope and the `--check` exit codes.
+/// flags, loading and the `--check` exit codes.
 struct View {
-    mode: &'static str,
     usage: &'static str,
     /// The `--check` gate's name, its check, and what passing it means.
     gate: &'static str,
     check: fn(&Report) -> Result<(), String>,
     passed: &'static str,
-    /// The mode's own `--json` fields, given the hot TBs and `--top`.
-    json: fn(&Report, &[(u64, u64)], usize) -> String,
     /// The text view, given the hot TBs and `--top`.
     text: fn(&Report, &[(u64, u64)], usize),
 }
 
 const REPORT_VIEW: View = View {
-    mode: "report",
     usage: "usage: pokemu-report [--run NAME] [--dir PATH] [--top N] [--check]\n\
             \x20      pokemu-report coverage [--manifest PATH]\n\
             \x20      pokemu-report diff --baseline PATH [--manifest PATH] [--check]\n\
             \x20      pokemu-report conformance [--roms DIR] [--threads N] [--write]\n\
-            \x20      pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]\n\
-            \x20      pokemu-report compare <run-a> <run-b> [--ledger PATH]\n\
-            \x20      pokemu-report trend [--last N] [--ledger PATH] [--check]\n\
-            \x20      pokemu-report history <gc|verify> [--cap N] [--ledger PATH]\n\
-            (every mode also accepts --json for machine-readable output)",
+            \x20      pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]",
     gate: "check",
     check: Report::check,
     passed: "all Fig.1 stage spans present, 0 dropped events",
-    json: |r, _, _| r.json(),
     text: |r, _, top| r.print(top),
 };
 
 const PERF_VIEW: View = View {
-    mode: "perf",
-    usage: "usage: pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check] [--json]",
+    usage: "usage: pokemu-report perf [--run NAME] [--dir PATH] [--top N] [--check]",
     gate: "perf check",
     check: Report::check_perf,
     passed: "≥95% of pipeline wall time attributed, no e3 inversion",
-    json: Report::perf_json,
     text: Report::print_perf,
 };
 
@@ -659,7 +555,6 @@ fn cmd_view(view: &View, first: Option<String>, args: &mut std::env::Args) -> Ex
     let mut dir = trace::trace_dir();
     let mut top = 10usize;
     let mut check = false;
-    let mut json_out = false;
     let mut pending = first;
     while let Some(a) = pending.take().or_else(|| args.next()) {
         match a.as_str() {
@@ -667,7 +562,6 @@ fn cmd_view(view: &View, first: Option<String>, args: &mut std::env::Args) -> Ex
             "--dir" => dir = args.next().unwrap_or_default().into(),
             "--top" => top = args.next().and_then(|v| v.parse().ok()).unwrap_or(top),
             "--check" => check = true,
-            "--json" => json_out = true,
             "--help" | "-h" => {
                 println!("{}", view.usage);
                 return ExitCode::SUCCESS;
@@ -685,33 +579,17 @@ fn cmd_view(view: &View, first: Option<String>, args: &mut std::env::Args) -> Ex
             return ExitCode::from(EXIT_MISSING_INPUT);
         }
     };
-    let hot = load_hot_tbs(&dir, &run);
-    let verdict = check.then(|| (view.check)(&report));
-    if json_out {
-        let check = match &verdict {
-            None => "null".to_string(),
-            Some(Ok(())) => "\"ok\"".to_string(),
-            Some(Err(e)) => format!("\"{}\"", escape(e)),
-        };
-        println!(
-            "{{\"mode\":\"{}\",\"run\":\"{}\",{},\"check\":{check}}}",
-            view.mode,
-            escape(&run),
-            (view.json)(&report, &hot, top)
-        );
-    } else {
-        (view.text)(&report, &hot, top);
-    }
-    match verdict {
+    (view.text)(&report, &load_hot_tbs(&dir, &run), top);
+    match check.then(|| (view.check)(&report)) {
         Some(Err(e)) => {
             eprintln!("[pokemu-report] {} FAILED: {e}", view.gate);
             ExitCode::from(EXIT_VIOLATION)
         }
-        Some(Ok(())) if !json_out => {
+        Some(Ok(())) => {
             println!("[pokemu-report] {} OK: {}", view.gate, view.passed);
             ExitCode::SUCCESS
         }
-        _ => ExitCode::SUCCESS,
+        None => ExitCode::SUCCESS,
     }
 }
 
@@ -765,13 +643,11 @@ fn default_manifest_path() -> PathBuf {
 /// `pokemu-report coverage`: print the coverage ledger of one manifest.
 fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
     let mut path = default_manifest_path();
-    let mut json_out = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--manifest" => path = args.next().unwrap_or_default().into(),
-            "--json" => json_out = true,
             "--help" | "-h" => {
-                println!("usage: pokemu-report coverage [--manifest PATH] [--json]");
+                println!("usage: pokemu-report coverage [--manifest PATH]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -789,37 +665,6 @@ fn cmd_coverage(args: &mut std::env::Args) -> ExitCode {
     };
     let r = &m.results;
     let clusters = cluster_causes(&m);
-    if json_out {
-        let maps: Vec<String> = m
-            .coverage
-            .maps
-            .iter()
-            .map(|(name, map)| {
-                format!(
-                    "\"{}\":{{\"set\":{},\"bits\":{}}}",
-                    escape(name),
-                    map.set_count(),
-                    map.bits
-                )
-            })
-            .collect();
-        let clusters: Vec<String> = clusters
-            .iter()
-            .map(|(target, causes)| format!("\"{target}\":{}", jlist(causes)))
-            .collect();
-        println!(
-            "{{\"mode\":\"coverage\",\"run_id\":\"{}\",\"maps\":{{{}}},\"clusters\":{{{}}},\
-             \"deviations\":{},\"completed\":{},\"quarantined\":{},\"unknown_queries\":{}}}",
-            escape(&m.run_id),
-            maps.join(","),
-            clusters.join(","),
-            r.deviations.len(),
-            r.completed,
-            r.quarantined.len(),
-            r.unknown_queries
-        );
-        return ExitCode::SUCCESS;
-    }
     println!("== coverage ({} / run {})", path.display(), m.run_id);
     for (name, map) in &m.coverage.maps {
         println!(
@@ -874,13 +719,14 @@ fn shown(v: Option<u64>) -> String {
 /// `pokemu-report diff`: baseline-vs-run regression report. Violations are
 /// coverage bits present in the baseline but missing from the run; any
 /// change to `counts`; a baseline counter of `metrics.counters` with
-/// another value in the run (bookkeeping counters excluded, as from ledger
-/// `det` sections; counters only the run has are not gated, as coverage
-/// may grow); the first entry where the deviation lists differ (the
-/// clusters are rebuilt from them, so this covers every cluster too); and
-/// robustness regressions: a run that did not complete, quarantine/unknown
-/// counts growing past the baseline's, or (for fleet merges) shards newly
-/// poisoned vs the baseline, named individually.
+/// another value in the run (bookkeeping counters under
+/// `record::EXCLUDED_COUNTER_PREFIXES` excluded; counters only the run has
+/// are not gated, as coverage may grow); the first entry where the
+/// deviation lists differ (the clusters are rebuilt from them, so this
+/// covers every cluster too); and robustness regressions: a run that did
+/// not complete, quarantine/unknown counts growing past the baseline's, or
+/// (for fleet merges) shards newly poisoned vs the baseline, named
+/// individually.
 fn diff_violations(base: &RunDoc, cur: &RunDoc) -> Vec<String> {
     let mut violations = Vec::new();
     let (b, c) = (&base.results, &cur.results);
@@ -977,17 +823,13 @@ fn cmd_diff(args: &mut std::env::Args) -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut manifest = default_manifest_path();
     let mut check = false;
-    let mut json_out = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => baseline = args.next().map(PathBuf::from),
             "--manifest" => manifest = args.next().unwrap_or_default().into(),
             "--check" => check = true,
-            "--json" => json_out = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: pokemu-report diff --baseline PATH [--manifest PATH] [--check] [--json]"
-                );
+                println!("usage: pokemu-report diff --baseline PATH [--manifest PATH] [--check]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -1007,37 +849,6 @@ fn cmd_diff(args: &mut std::env::Args) -> ExitCode {
             return ExitCode::from(EXIT_MISSING_INPUT);
         }
     };
-    if json_out {
-        let violations = diff_violations(&base, &cur);
-        let maps: Vec<String> = base
-            .coverage
-            .maps
-            .iter()
-            .map(|(name, bmap)| {
-                format!(
-                    "\"{}\":{{\"baseline_set\":{},\"run_set\":{}}}",
-                    escape(name),
-                    bmap.set_count(),
-                    cur.coverage
-                        .map(name)
-                        .map_or("null".to_string(), |m| m.set_count().to_string())
-                )
-            })
-            .collect();
-        println!(
-            "{{\"mode\":\"diff\",\"baseline\":\"{}\",\"manifest\":\"{}\",\"maps\":{{{}}},\
-             \"violations\":{},\"ok\":{}}}",
-            escape(&baseline.display().to_string()),
-            escape(&manifest.display().to_string()),
-            maps.join(","),
-            jlist(&violations),
-            violations.is_empty()
-        );
-        if !violations.is_empty() && check {
-            return ExitCode::from(EXIT_VIOLATION);
-        }
-        return ExitCode::SUCCESS;
-    }
     println!(
         "== diff baseline {} (run {}) vs {} (run {})",
         baseline.display(),
@@ -1089,17 +900,13 @@ fn cmd_conformance(args: &mut std::env::Args) -> ExitCode {
         .map(|n| n.get())
         .unwrap_or(4);
     let mut write = false;
-    let mut json_out = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--roms" => roms = args.next().map(PathBuf::from),
             "--threads" => threads = args.next().and_then(|v| v.parse().ok()).unwrap_or(threads),
             "--write" => write = true,
-            "--json" => json_out = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: pokemu-report conformance [--roms DIR] [--threads N] [--write] [--json]"
-                );
+                println!("usage: pokemu-report conformance [--roms DIR] [--threads N] [--write]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -1127,43 +934,24 @@ fn cmd_conformance(args: &mut std::env::Args) -> ExitCode {
         .iter()
         .filter(|r| !r.deviations.is_empty())
         .count();
-    let conformance_json = |quarantined: &[String], violations: &[String], ok: bool| {
-        let vio: Vec<String> = violations.to_vec();
-        format!(
-            "{{\"mode\":\"conformance\",\"roms\":\"{}\",\"programs\":{},\"deviating\":{},\
-             \"quarantined\":{},\"violations\":{},\"ok\":{ok}}}",
-            escape(&roms.display().to_string()),
-            run.results.len(),
-            deviating,
-            jlist(quarantined),
-            jlist(&vio)
-        )
-    };
-    if !json_out {
-        println!(
-            "== conformance: {} program(s), {} with deviations, {} quarantined",
-            run.results.len(),
-            deviating,
-            run.quarantined.len(),
-        );
-    }
+    println!(
+        "== conformance: {} program(s), {} with deviations, {} quarantined",
+        run.results.len(),
+        deviating,
+        run.quarantined.len(),
+    );
     if !run.quarantined.is_empty() {
         // A quarantined program has no result to compare; its absence must
         // not silently pass (or rewrite) the gate.
-        let mut names = Vec::new();
         for q in &run.quarantined {
             let name = q
                 .item
                 .and_then(|i| corpus.get(i))
                 .map_or("<unknown>", |p| p.name.as_str());
-            names.push(name.to_string());
             eprintln!(
                 "[pokemu-report] conformance quarantined: {name} ({})",
                 q.message
             );
-        }
-        if json_out {
-            println!("{}", conformance_json(&names, &[], false));
         }
         eprintln!("[pokemu-report] conformance FAILED: quarantined program(s)");
         return ExitCode::from(EXIT_VIOLATION);
@@ -1172,19 +960,11 @@ fn cmd_conformance(args: &mut std::env::Args) -> ExitCode {
     if write {
         return match conformance::write_baselines(&roms, &run.results) {
             Ok(paths) => {
-                if json_out {
-                    println!(
-                        "{{\"mode\":\"conformance\",\"roms\":\"{}\",\"wrote\":{}}}",
-                        escape(&roms.display().to_string()),
-                        paths.len()
-                    );
-                } else {
-                    println!(
-                        "[pokemu-report] wrote {} baseline(s) under {}",
-                        paths.len(),
-                        roms.display()
-                    );
-                }
+                println!(
+                    "[pokemu-report] wrote {} baseline(s) under {}",
+                    paths.len(),
+                    roms.display()
+                );
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -1202,15 +982,11 @@ fn cmd_conformance(args: &mut std::env::Args) -> ExitCode {
         }
     };
     if violations.is_empty() {
-        if json_out {
-            println!("{}", conformance_json(&[], &[], true));
-        } else {
-            println!(
-                "[pokemu-report] conformance OK: {} program(s) match {}",
-                run.results.len(),
-                roms.display()
-            );
-        }
+        println!(
+            "[pokemu-report] conformance OK: {} program(s) match {}",
+            run.results.len(),
+            roms.display()
+        );
         return ExitCode::SUCCESS;
     }
     for v in &violations {
@@ -1219,558 +995,11 @@ fn cmd_conformance(args: &mut std::env::Args) -> ExitCode {
             v.program, v.reason
         );
     }
-    if json_out {
-        let rendered: Vec<String> = violations
-            .iter()
-            .map(|v| format!("{}: {}", v.program, v.reason))
-            .collect();
-        println!("{}", conformance_json(&[], &rendered, false));
-    }
     eprintln!(
         "[pokemu-report] conformance FAILED: {} violating program(s)",
         violations.len()
     );
     ExitCode::from(EXIT_VIOLATION)
-}
-
-/// A finite f64 rendered as a JSON number (non-finite degrades to 0, like
-/// the ledger writer).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// A JSON array of escaped strings.
-fn jlist(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    format!("[{}]", quoted.join(","))
-}
-
-/// Resolves one `compare` operand against the ledger: an all-digit operand
-/// is a record seq, anything else is a run id (latest record wins).
-fn resolve_record<'a>(records: &'a [RunRecord], arg: &str) -> Option<&'a RunRecord> {
-    if !arg.is_empty() && arg.bytes().all(|b| b.is_ascii_digit()) {
-        let seq: u64 = arg.parse().ok()?;
-        records.iter().rev().find(|r| r.seq == seq)
-    } else {
-        records.iter().rev().find(|r| r.run_id == arg)
-    }
-}
-
-fn load_ledger_or_exit(path: &Path) -> Result<Vec<RunRecord>, ExitCode> {
-    match history::load(path) {
-        Ok(records) if records.is_empty() => {
-            eprintln!(
-                "[pokemu-report] empty ledger {} (run the pipeline with history on first)",
-                path.display()
-            );
-            Err(ExitCode::from(EXIT_MISSING_INPUT))
-        }
-        Ok(records) => Ok(records),
-        Err(e) => {
-            eprintln!("[pokemu-report] {e}");
-            Err(ExitCode::from(EXIT_MISSING_INPUT))
-        }
-    }
-}
-
-/// Rows shown per text table before eliding (the `--json` mode never
-/// elides).
-const TEXT_ROW_CAP: usize = 40;
-
-/// `pokemu-report compare <run-a> <run-b>`: full telemetry diff between two
-/// ledger records with causal attribution of the wall-time delta (stage →
-/// solver origin → hot TB, covering ≥90% of the delta, printed by name).
-fn cmd_compare(args: &mut std::env::Args) -> ExitCode {
-    let mut ledger = history::ledger_path();
-    let mut json_out = false;
-    let mut operands: Vec<String> = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--ledger" => ledger = args.next().unwrap_or_default().into(),
-            "--json" => json_out = true,
-            "--help" | "-h" => {
-                println!("usage: pokemu-report compare <run-a> <run-b> [--ledger PATH] [--json]");
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => operands.push(other.to_string()),
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(EXIT_MISSING_INPUT);
-            }
-        }
-    }
-    if operands.len() != 2 {
-        eprintln!("[pokemu-report] compare needs exactly two run refs (seq or run id)");
-        return ExitCode::from(EXIT_MISSING_INPUT);
-    }
-    let records = match load_ledger_or_exit(&ledger) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let (a, b) = match (
-        resolve_record(&records, &operands[0]),
-        resolve_record(&records, &operands[1]),
-    ) {
-        (Some(a), Some(b)) => (a, b),
-        (a, b) => {
-            for (found, name) in [(a, &operands[0]), (b, &operands[1])] {
-                if found.is_none() {
-                    eprintln!(
-                        "[pokemu-report] no record for {name:?} in {}",
-                        ledger.display()
-                    );
-                }
-            }
-            return ExitCode::from(EXIT_MISSING_INPUT);
-        }
-    };
-
-    // Deterministic + timing deltas over the union of field names.
-    let mut det_changed: Vec<(String, u64, u64)> = {
-        let mut names: std::collections::BTreeSet<&String> = a.det.keys().collect();
-        names.extend(b.det.keys());
-        names
-            .into_iter()
-            .map(|k| {
-                (
-                    k.clone(),
-                    a.det.get(k).copied().unwrap_or(0),
-                    b.det.get(k).copied().unwrap_or(0),
-                )
-            })
-            .filter(|(_, va, vb)| va != vb)
-            .collect()
-    };
-    det_changed.sort_by(|x, y| {
-        (y.2.abs_diff(y.1))
-            .cmp(&x.2.abs_diff(x.1))
-            .then(x.0.cmp(&y.0))
-    });
-    let mut timing_changed: Vec<(String, f64, f64)> = {
-        let mut names: std::collections::BTreeSet<&String> = a.timing.keys().collect();
-        names.extend(b.timing.keys());
-        names
-            .into_iter()
-            .map(|k| {
-                (
-                    k.clone(),
-                    a.timing.get(k).copied().unwrap_or(0.0),
-                    b.timing.get(k).copied().unwrap_or(0.0),
-                )
-            })
-            .filter(|(_, va, vb)| va != vb)
-            .collect()
-    };
-    timing_changed.sort_by(|x, y| {
-        (y.2 - y.1)
-            .abs()
-            .total_cmp(&(x.2 - x.1).abs())
-            .then(x.0.cmp(&y.0))
-    });
-    let attr = history::attribute(a, b);
-
-    if json_out {
-        let rec_json = |r: &RunRecord| {
-            format!(
-                "{{\"seq\":{},\"run_id\":\"{}\",\"kind\":\"{}\",\"config_fp\":\"{}\"}}",
-                r.seq,
-                escape(&r.run_id),
-                escape(&r.kind),
-                escape(&r.config_fp)
-            )
-        };
-        let det: Vec<String> = det_changed
-            .iter()
-            .map(|(k, va, vb)| format!("\"{}\":{{\"a\":{va},\"b\":{vb}}}", escape(k)))
-            .collect();
-        let timing: Vec<String> = timing_changed
-            .iter()
-            .map(|(k, va, vb)| {
-                format!(
-                    "\"{}\":{{\"a\":{},\"b\":{}}}",
-                    escape(k),
-                    jnum(*va),
-                    jnum(*vb)
-                )
-            })
-            .collect();
-        let entries: Vec<String> = attr
-            .entries
-            .iter()
-            .map(|e| {
-                let children: Vec<String> = e
-                    .children
-                    .iter()
-                    .map(|(n, d)| format!("[\"{}\",{}]", escape(n), jnum(*d)))
-                    .collect();
-                format!(
-                    "{{\"name\":\"{}\",\"delta_ns\":{},\"share\":{},\"children\":[{}]}}",
-                    escape(&e.name),
-                    jnum(e.delta_ns),
-                    jnum(e.share),
-                    children.join(",")
-                )
-            })
-            .collect();
-        let hot: Vec<String> = attr
-            .hot_tbs
-            .iter()
-            .map(|(n, d)| format!("[\"{}\",{d}]", escape(n)))
-            .collect();
-        println!(
-            "{{\"mode\":\"compare\",\"ledger\":\"{}\",\"a\":{},\"b\":{},\
-             \"fingerprint_match\":{},\"det\":{{{}}},\"timing\":{{{}}},\
-             \"attribution\":{{\"total_delta_ns\":{},\"covered_share\":{},\
-             \"entries\":[{}],\"hot_tbs\":[{}]}}}}",
-            escape(&ledger.display().to_string()),
-            rec_json(a),
-            rec_json(b),
-            a.config_fp == b.config_fp,
-            det.join(","),
-            timing.join(","),
-            jnum(attr.total_delta_ns),
-            jnum(attr.covered_share),
-            entries.join(","),
-            hot.join(",")
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    println!(
-        "== compare a: run {} (seq {}, {}, fp {}) vs b: run {} (seq {}, {}, fp {})",
-        a.run_id, a.seq, a.kind, a.config_fp, b.run_id, b.seq, b.kind, b.config_fp
-    );
-    if a.config_fp != b.config_fp {
-        println!(
-            "  NOTE: config fingerprints differ — deterministic deltas below may reflect \
-             the config change, not a regression"
-        );
-    }
-    println!(
-        "== deterministic deltas ({} field(s) changed)",
-        det_changed.len()
-    );
-    if det_changed.is_empty() {
-        println!("  none — deterministic sections are identical");
-    }
-    for (k, va, vb) in det_changed.iter().take(TEXT_ROW_CAP) {
-        println!("  {k:<36} {va:>12} -> {vb:<12}");
-    }
-    if det_changed.len() > TEXT_ROW_CAP {
-        println!(
-            "  … and {} more (use --json for all)",
-            det_changed.len() - TEXT_ROW_CAP
-        );
-    }
-    println!(
-        "== timing deltas ({} field(s) changed)",
-        timing_changed.len()
-    );
-    for (k, va, vb) in timing_changed.iter().take(TEXT_ROW_CAP) {
-        println!(
-            "  {k:<36} {:>12} -> {:<12} ({:+.3} ms)",
-            ms(va / 1000.0),
-            ms(vb / 1000.0),
-            (vb - va) / 1e6
-        );
-    }
-    if timing_changed.len() > TEXT_ROW_CAP {
-        println!(
-            "  … and {} more (use --json for all)",
-            timing_changed.len() - TEXT_ROW_CAP
-        );
-    }
-    println!(
-        "== attribution of wall.total delta ({:+.3} ms, threshold 90%)",
-        attr.total_delta_ns / 1e6
-    );
-    for e in &attr.entries {
-        println!(
-            "  {:<30} {:+12.3} ms  {:5.1}%",
-            e.name,
-            e.delta_ns / 1e6,
-            100.0 * e.share
-        );
-        for (n, d) in &e.children {
-            println!("      {n:<28} {:+12.3} ms", d / 1e6);
-        }
-    }
-    println!(
-        "  attributed {:.1}% of the wall.total delta",
-        100.0 * attr.covered_share
-    );
-    if !attr.hot_tbs.is_empty() {
-        println!("== hot-TB exec deltas (deterministic)");
-        for (n, d) in &attr.hot_tbs {
-            println!("  {n:<30} {d:+12} execs");
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `pokemu-report trend`: per-metric trajectory over the trend window of
-/// every `(kind, config_fp)` group, with the integer median/MAD gate.
-fn cmd_trend(args: &mut std::env::Args) -> ExitCode {
-    let mut ledger = history::ledger_path();
-    let mut window = history::DEFAULT_TREND_WINDOW;
-    let mut check = false;
-    let mut json_out = false;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--ledger" => ledger = args.next().unwrap_or_default().into(),
-            "--last" => window = args.next().and_then(|v| v.parse().ok()).unwrap_or(window),
-            "--check" => check = true,
-            "--json" => json_out = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: pokemu-report trend [--last N] [--ledger PATH] [--check] [--json]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(EXIT_MISSING_INPUT);
-            }
-        }
-    }
-    let records = match load_ledger_or_exit(&ledger) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let mut groups: BTreeMap<String, Vec<&RunRecord>> = BTreeMap::new();
-    for r in &records {
-        groups.entry(history::group_key(r)).or_default().push(r);
-    }
-
-    let mut violations: Vec<String> = Vec::new();
-    let mut group_jsons: Vec<String> = Vec::new();
-    let mut gated_groups = 0usize;
-    if !json_out {
-        println!(
-            "== trend over {} ({} record(s), {} group(s); window {})",
-            ledger.display(),
-            records.len(),
-            groups.len(),
-            window
-        );
-    }
-    for (key, group) in &groups {
-        let owned: Vec<RunRecord> = group.iter().map(|&r| r.clone()).collect();
-        let stats = history::trend_stats(&owned, window);
-        if stats.is_empty() {
-            continue;
-        }
-        gated_groups += 1;
-        let latest = owned.last().expect("non-empty group");
-        for s in &stats {
-            if let Some(v) = &s.violation {
-                violations.push(format!("{key}: {v}"));
-            }
-        }
-        if json_out {
-            let metrics: Vec<String> = stats
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"name\":\"{}\",\"deterministic\":{},\"n\":{},\"min\":{},\
-                         \"median\":{},\"max\":{},\"mad\":{},\"latest\":{},\"violation\":{}}}",
-                        escape(&s.name),
-                        s.deterministic,
-                        s.n,
-                        s.min,
-                        s.median,
-                        s.max,
-                        s.mad,
-                        s.latest,
-                        s.violation
-                            .as_ref()
-                            .map_or("null".to_string(), |v| format!("\"{}\"", escape(v)))
-                    )
-                })
-                .collect();
-            group_jsons.push(format!(
-                "{{\"key\":\"{}\",\"records\":{},\"latest_seq\":{},\"latest_run_id\":\"{}\",\
-                 \"metrics\":[{}]}}",
-                escape(key),
-                owned.len(),
-                latest.seq,
-                escape(&latest.run_id),
-                metrics.join(",")
-            ));
-            continue;
-        }
-        println!(
-            "-- group {key} ({} record(s); latest seq {} run {})",
-            owned.len(),
-            latest.seq,
-            latest.run_id
-        );
-        // Show only metrics that move or violate; stable flat metrics are
-        // noise in a terminal (the JSON mode carries everything).
-        let interesting: Vec<&history::TrendStat> = stats
-            .iter()
-            .filter(|s| s.min != s.max || s.latest != s.median || s.violation.is_some())
-            .collect();
-        println!(
-            "  {:<36} {:>3} {:>10} {:>10} {:>10} {:>10} {:>6}  flag",
-            "metric", "n", "min", "median", "max", "latest", "MAD"
-        );
-        for s in interesting.iter().take(TEXT_ROW_CAP) {
-            println!(
-                "  {:<36} {:>3} {:>10} {:>10} {:>10} {:>10} {:>6}  {}",
-                s.name,
-                s.n,
-                s.min,
-                s.median,
-                s.max,
-                s.latest,
-                s.mad,
-                match &s.violation {
-                    Some(_) if s.deterministic => "DRIFT",
-                    Some(_) => "ANOMALY",
-                    None => "",
-                }
-            );
-        }
-        if interesting.len() > TEXT_ROW_CAP {
-            println!(
-                "  … and {} more (use --json for all)",
-                interesting.len() - TEXT_ROW_CAP
-            );
-        }
-        if interesting.is_empty() {
-            println!("  all {} metric(s) flat and clean", stats.len());
-        }
-    }
-
-    if json_out {
-        println!(
-            "{{\"mode\":\"trend\",\"ledger\":\"{}\",\"window\":{window},\"groups\":[{}],\
-             \"violations\":{},\"ok\":{}}}",
-            escape(&ledger.display().to_string()),
-            group_jsons.join(","),
-            jlist(&violations),
-            violations.is_empty()
-        );
-    } else if gated_groups == 0 {
-        println!("  no group has ≥2 records yet — nothing to gate");
-    }
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("[pokemu-report] trend violation: {v}");
-        }
-        if check {
-            eprintln!(
-                "[pokemu-report] trend check FAILED: {} violation(s)",
-                violations.len()
-            );
-            return ExitCode::from(EXIT_VIOLATION);
-        }
-    } else if check && !json_out {
-        println!(
-            "[pokemu-report] trend check OK: {gated_groups} group(s) within band, \
-             no deterministic drift"
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-/// `pokemu-report history gc|verify`: retention and integrity over the run
-/// ledger.
-fn cmd_history(args: &mut std::env::Args) -> ExitCode {
-    let mut ledger = history::ledger_path();
-    let mut cap = history::DEFAULT_GC_CAP;
-    let mut json_out = false;
-    let mut action: Option<String> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "gc" | "verify" if action.is_none() => action = Some(a),
-            "--ledger" => ledger = args.next().unwrap_or_default().into(),
-            "--cap" => cap = args.next().and_then(|v| v.parse().ok()).unwrap_or(cap),
-            "--json" => json_out = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: pokemu-report history <gc|verify> [--cap N] [--ledger PATH] [--json]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(EXIT_MISSING_INPUT);
-            }
-        }
-    }
-    match action.as_deref() {
-        Some("gc") => match history::gc(&ledger, cap) {
-            Ok((kept, dropped)) => {
-                if json_out {
-                    println!(
-                        "{{\"mode\":\"history.gc\",\"ledger\":\"{}\",\"cap\":{cap},\
-                         \"kept\":{kept},\"dropped\":{dropped}}}",
-                        escape(&ledger.display().to_string())
-                    );
-                } else {
-                    println!(
-                        "[pokemu-report] history gc: kept {kept}, dropped {dropped} ({})",
-                        ledger.display()
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("[pokemu-report] {e}");
-                ExitCode::from(EXIT_MISSING_INPUT)
-            }
-        },
-        Some("verify") => {
-            let record_count = history::load(&ledger).map(|r| r.len()).unwrap_or(0);
-            match history::verify(&ledger) {
-                Ok(violations) => {
-                    if json_out {
-                        println!(
-                            "{{\"mode\":\"history.verify\",\"ledger\":\"{}\",\"records\":{},\
-                             \"violations\":{},\"ok\":{}}}",
-                            escape(&ledger.display().to_string()),
-                            record_count,
-                            jlist(&violations),
-                            violations.is_empty()
-                        );
-                    }
-                    if violations.is_empty() {
-                        if !json_out {
-                            println!(
-                                "[pokemu-report] history verify OK: {record_count} record(s), \
-                                 all content hashes intact ({})",
-                                ledger.display()
-                            );
-                        }
-                        ExitCode::SUCCESS
-                    } else {
-                        for v in &violations {
-                            eprintln!("[pokemu-report] history violation: {v}");
-                        }
-                        eprintln!(
-                            "[pokemu-report] history verify FAILED: {} violation(s)",
-                            violations.len()
-                        );
-                        ExitCode::from(EXIT_VIOLATION)
-                    }
-                }
-                Err(e) => {
-                    eprintln!("[pokemu-report] {e}");
-                    ExitCode::from(EXIT_MISSING_INPUT)
-                }
-            }
-        }
-        _ => {
-            eprintln!("[pokemu-report] history needs an action: gc or verify");
-            ExitCode::from(EXIT_MISSING_INPUT)
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -1782,9 +1011,6 @@ fn main() -> ExitCode {
         Some("diff") => return cmd_diff(&mut args),
         Some("conformance") => return cmd_conformance(&mut args),
         Some("perf") => return cmd_view(&PERF_VIEW, None, &mut args),
-        Some("compare") => return cmd_compare(&mut args),
-        Some("trend") => return cmd_trend(&mut args),
-        Some("history") => return cmd_history(&mut args),
         _ => {}
     }
     cmd_view(&REPORT_VIEW, first, &mut args)

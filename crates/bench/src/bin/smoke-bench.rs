@@ -8,10 +8,6 @@
 use pokemu::harness::{run_cross_validation, PipelineConfig};
 
 fn main() {
-    // Stable run-ledger context: the pipeline run below appends a history
-    // record, and its trend group must not depend on the binary's cargo
-    // hash or working directory.
-    pokemu_rt::history::set_context("smoke-bench");
     // Under POKEMU_TRACE=1 the run also exports
     // target/trace/cross_validation.{trace.json,metrics.jsonl}, which the
     // `trace-smoke` CI step feeds to `pokemu-report --check`.

@@ -1,4 +1,4 @@
-//! Crash-safe sharded exploration fleet (DESIGN.md §13).
+//! Crash-safe sharded exploration fleet (DESIGN.md §12).
 //!
 //! The paper's cost story (§6: 545 h of test generation) only amortizes if
 //! long campaigns survive crashes and re-validation is incremental. This
@@ -33,8 +33,7 @@
 //!   analogue of PR-4's item quarantine); the run still completes, and
 //!   `pokemu-report diff` gates on poisoned-shard growth by name.
 //! - **Incremental re-validation**: a re-run skips shards whose finished
-//!   manifest carries the same config fingerprint
-//!   ([`pokemu_rt::history::fingerprint`]).
+//!   manifest carries the same config fingerprint.
 //!
 //! Failure drills are first-class: the `fleet.spawn`, `fleet.heartbeat`,
 //! and `fleet.checkpoint` fault points accept the same `POKEMU_FAULT` spec
@@ -50,11 +49,11 @@ use std::time::{Duration, Instant, SystemTime};
 use pokemu_explore::{explore_instruction_space, InsnSpaceConfig};
 use pokemu_lofi::Fidelity;
 use pokemu_rt::coverage::CoverageSnapshot;
-use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::json::escape;
 use pokemu_rt::{fault, metrics, rng, write_atomic};
+use pokemu_testgen::fnv1a;
 
-use crate::pipeline::{run_item, CrossValidation};
+use crate::pipeline::{run_item, CrossValidation, INSN_DEADLINE_ENV, RUN_DEADLINE_ENV};
 use crate::record::{self, note_write_failure, InsnRecord, RunDoc};
 use crate::targets::baseline_snapshot;
 
@@ -102,8 +101,6 @@ pub struct FleetConfig {
     /// Skip shards whose finished manifest carries this run's config
     /// fingerprint.
     pub incremental: bool,
-    /// Append one `kind: "fleet"` record to the run ledger after merging.
-    pub ledger: bool,
 }
 
 impl Default for FleetConfig {
@@ -123,7 +120,6 @@ impl Default for FleetConfig {
             worker_env: Vec::new(),
             root: None,
             incremental: true,
-            ledger: true,
         }
     }
 }
@@ -179,21 +175,37 @@ pub struct FleetOutcome {
 /// partition from its own instruction-space exploration — the coordinator
 /// never ships work lists.
 pub fn shard_of(class_name: &str, shards: usize) -> usize {
-    (history::fnv1a64(class_name.as_bytes()) % shards.max(1) as u64) as usize
+    (fnv1a(class_name.as_bytes()) % shards.max(1) as u64) as usize
 }
 
-/// Config fingerprint for a fleet run: the workload-shaping fields plus the
-/// shard count (a different partition invalidates per-shard reuse), through
-/// [`history::fingerprint`] so the process context and tracked environment
-/// participate exactly like pipeline fingerprints.
-pub fn config_fingerprint(config: &FleetConfig) -> String {
-    history::fingerprint(&[
-        "fleet".to_owned(),
+/// Environment variables that shape a shard's results: fault injection and
+/// the solver, run and per-instruction budgets. Observer toggles
+/// (coverage, profiling, tracing) change no result and are left out.
+const TRACKED_ENV: [&str; 5] = [
+    fault::FAULT_ENV,
+    pokemu_solver::SOLVER_DEADLINE_ENV,
+    pokemu_solver::SOLVER_FUEL_ENV,
+    RUN_DEADLINE_ENV,
+    INSN_DEADLINE_ENV,
+];
+
+/// Config fingerprint for a fleet run: 16 hex digits of FNV-1a over the
+/// workload-shaping fields, the shard count (a different partition
+/// invalidates per-shard reuse) and the [`TRACKED_ENV`] variables that
+/// `env` reports set.
+fn config_fingerprint(config: &FleetConfig, env: impl Fn(&str) -> Option<String>) -> String {
+    let mut parts = vec![
         format!("first_byte={:?}", config.first_byte),
         format!("second_byte={:?}", config.second_byte),
         format!("max_paths_per_insn={}", config.max_paths_per_insn),
         format!("shards={}", config.shards),
-    ])
+    ];
+    parts.extend(
+        TRACKED_ENV
+            .iter()
+            .filter_map(|key| Some(format!("{key}={}", env(key)?))),
+    );
+    format!("{:016x}", fnv1a(parts.join("\x1f").as_bytes()))
 }
 
 fn shard_name(shard: usize) -> String {
@@ -650,7 +662,7 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
         .clone()
         .unwrap_or_else(|| pokemu_rt::target_dir().join("fleet").join(&config.run_id));
     std::fs::create_dir_all(&root)?;
-    let config_fp = config_fingerprint(config);
+    let config_fp = config_fingerprint(config, |key| std::env::var(key).ok());
     let mut events = EventLog::open(&root.join("fleet-events.jsonl"), started)?;
 
     let mut states: Vec<ShardState> = (0..config.shards.max(1))
@@ -873,16 +885,6 @@ pub fn run_fleet(config: &FleetConfig) -> io::Result<FleetOutcome> {
         ),
     );
 
-    if config.ledger && history::enabled() {
-        let mut rec = RunRecord::new("fleet", &config.run_id, config_fp.clone());
-        rec.det("count.shards", config.shards as u64);
-        rec.det("count.merged", merged_shards as u64);
-        rec.det("count.poisoned", poisoned.len() as u64);
-        record::det(&mut rec, &merged, &coverage);
-        rec.timing("wall.total", started.elapsed().as_nanos() as f64);
-        record::append_record(rec);
-    }
-
     Ok(FleetOutcome {
         run_id: config.run_id.clone(),
         root,
@@ -923,5 +925,52 @@ mod tests {
         write(true, "fp");
         assert!(finished_shard(&dir, "fp").is_some(), "finished");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fingerprint is stable and changes with each config field and
+    /// each tracked environment variable it covers; the retry policy and
+    /// the run id change no result, so they leave it alone.
+    #[test]
+    fn fingerprint_covers_every_workload_field_and_tracked_variable() {
+        let base = FleetConfig::default();
+        let unset = |_: &str| None;
+        let fp = config_fingerprint(&base, unset);
+        assert_eq!(fp.len(), 16);
+        assert_eq!(fp, config_fingerprint(&base, unset));
+        let policy = FleetConfig {
+            run_id: "other".to_owned(),
+            max_attempts: 9,
+            backoff_seed: 1,
+            incremental: false,
+            ..base.clone()
+        };
+        assert_eq!(config_fingerprint(&policy, unset), fp);
+
+        let fields = [
+            FleetConfig {
+                first_byte: Some(0xf7),
+                ..base.clone()
+            },
+            FleetConfig {
+                second_byte: Some(0),
+                ..base.clone()
+            },
+            FleetConfig {
+                max_paths_per_insn: 64,
+                ..base.clone()
+            },
+            FleetConfig {
+                shards: 3,
+                ..base.clone()
+            },
+        ];
+        let mut seen = std::collections::BTreeSet::from([fp]);
+        for config in &fields {
+            assert!(seen.insert(config_fingerprint(config, unset)), "{config:?}");
+        }
+        for key in TRACKED_ENV {
+            let set = |k: &str| (k == key).then(|| "1".to_owned());
+            assert!(seen.insert(config_fingerprint(&base, set)), "{key}");
+        }
     }
 }

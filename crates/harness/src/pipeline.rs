@@ -406,14 +406,6 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     flight::install_panic_hook();
     let run_start = Instant::now();
     let metrics_start = metrics::snapshot();
-    // The hot-TB table is process-cumulative; snapshot it so the ledger
-    // record carries this run's execution delta only (thread-invariant).
-    let history_armed = pokemu_rt::history::enabled();
-    let hot_before: std::collections::BTreeMap<u32, u64> = if history_armed {
-        pokemu_lofi::hot_tbs().into_iter().collect()
-    } else {
-        Default::default()
-    };
     let run_span = pokemu_rt::span!("pipeline.run");
     let (baseline, _) = trace::timed("pipeline.setup", baseline_snapshot);
 
@@ -579,20 +571,6 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                 eprintln!("[manifest] quarantine dump {}", path.display());
             }
         }
-    }
-    // Every finished run leaves one compact record in the run ledger
-    // (POKEMU_HISTORY=0 opts out) — the cross-run substrate for
-    // `pokemu-report compare/trend` and the CI trend gate.
-    if history_armed {
-        let hot_delta = record::hot_tb_delta(&hot_before, &pokemu_lofi::hot_tbs());
-        record::append_record(record::build_record(
-            &run_id,
-            &config,
-            &out,
-            &delta,
-            &coverage::snapshot(),
-            &hot_delta,
-        ));
     }
     out
 }

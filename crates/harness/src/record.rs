@@ -1,5 +1,5 @@
 //! Run records: one module for everything a run writes about its
-//! deterministic results (DESIGN.md §7, §12, §13).
+//! deterministic results (DESIGN.md §7, §12).
 //!
 //! [`InsnRecord`] is one instruction's result; `analyze` completes it from
 //! the executed tests and `fold` turns a run's records, in analysis order,
@@ -31,17 +31,14 @@
 //! section reflects the work that finished. `counts`, `coverage`,
 //! `clusters`, `robustness` and `deviations` are deterministic for a fixed
 //! config and seed, whatever the thread or shard count, so CI commits
-//! baseline documents and gates on `pokemu-report diff`; `det` flattens
-//! them into a ledger record's `det` section. `timings_ns` and
+//! baseline documents and gates on `pokemu-report diff`. `timings_ns` and
 //! `metrics.timers_ns` are wall-clock measurements, never compared.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use pokemu_rt::coverage::{CoverageSnapshot, MapSnapshot};
-use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::json::{self, escape, Value};
 use pokemu_rt::{flight, metrics, MetricsSnapshot, QuarantineRecord};
 
@@ -552,151 +549,10 @@ fn parse_insn(v: &Value) -> Option<InsnRecord> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// The ledger record
-// ---------------------------------------------------------------------------
-
-/// Counter namespaces excluded from the `det` section and from
-/// `pokemu-report diff`'s counter rule: trace bookkeeping is
-/// scheduling-dependent, and the manifest/history writers must not observe
-/// their own side effects.
-pub const EXCLUDED_COUNTER_PREFIXES: [&str; 3] = ["trace.", "manifest.", "history."];
-
-/// Hot-TB rows recorded per run record (level-3 attribution material).
-const HOT_TB_ROWS: usize = 16;
-
-/// Config fingerprint for a pipeline run: the workload-shaping config
-/// fields plus the process context and tracked environment (see
-/// [`history::fingerprint`]). The thread count is deliberately excluded —
-/// deterministic fields are thread-invariant by the repo's replay contract,
-/// so runs at 1/2/8 threads belong to one trend group.
-pub fn config_fingerprint(config: &PipelineConfig) -> String {
-    history::fingerprint(&[
-        format!("first_byte={:?}", config.first_byte),
-        format!("second_byte={:?}", config.second_byte),
-        format!("max_instructions={}", config.max_instructions),
-        format!("max_paths_per_insn={}", config.max_paths_per_insn),
-        format!("lofi_fidelity={:?}", config.lofi_fidelity),
-    ])
-}
-
-/// Per-TB execution-count delta for this run: `after` (cumulative hot-TB
-/// table) minus `before` (the table snapshotted at run start), dropping
-/// zero rows. Sorted by count descending then eip ascending — the same
-/// deterministic order `pokemu_lofi::hot_tbs` guarantees.
-pub fn hot_tb_delta(before: &BTreeMap<u32, u64>, after: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    let mut out: Vec<(u32, u64)> = after
-        .iter()
-        .filter_map(|&(eip, n)| {
-            let d = n.saturating_sub(before.get(&eip).copied().unwrap_or(0));
-            (d > 0).then_some((eip, d))
-        })
-        .collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
-}
-
-/// Flattens a run's deterministic sections into ledger `det` fields: work
-/// counts (`count.*`, the §6 numbers), robustness outcomes (`robust.*`,
-/// deterministic under a deterministic fault plan), coverage populations
-/// (`cov.<layer>.set`) and deviation clusters (`cluster.<target>.<cause>`).
-pub(crate) fn det(r: &mut RunRecord, out: &CrossValidation, coverage: &CoverageSnapshot) {
-    r.det("count.candidates", out.candidates as u64);
-    r.det("count.unique_instructions", out.unique_instructions as u64);
-    r.det("count.fully_explored", out.fully_explored as u64);
-    r.det("count.total_paths", out.total_paths as u64);
-    r.det("count.lofi_differences", out.lofi_differences as u64);
-    r.det("count.hifi_differences", out.hifi_differences as u64);
-    r.det("count.lofi_filtered", out.lofi_filtered as u64);
-    r.det("count.hifi_filtered", out.hifi_filtered as u64);
-    r.det("count.deviations", out.deviations.len() as u64);
-    r.det("count.solver_queries", out.stages.solver_queries);
-
-    r.det("robust.completed", out.completed as u64);
-    r.det("robust.quarantined", out.quarantined.len() as u64);
-    r.det("robust.skipped", out.skipped_instructions as u64);
-    r.det("robust.unknown_queries", out.unknown_queries);
-    r.det("robust.infeasible_paths", out.infeasible_paths as u64);
-
-    for (name, map) in &coverage.maps {
-        let short = name.strip_prefix("coverage.").unwrap_or(name);
-        r.det(format!("cov.{short}.set"), map.set_count() as u64);
-    }
-
-    for (target, clusters) in [("lofi", &out.lofi_clusters), ("hifi", &out.hifi_clusters)] {
-        for (cause, count, _) in clusters.iter() {
-            r.det(format!("cluster.{target}.{cause}"), count as u64);
-        }
-    }
-}
-
-fn ns(d: Duration) -> f64 {
-    d.as_nanos() as f64
-}
-
-/// Builds the ledger record for one finished pipeline run: `det` plus
-/// the run-delta counters and hot-TB execution deltas, and its timings.
-/// Pure — no I/O, no global reads — so tests can assert determinism
-/// without touching a ledger file.
-pub fn build_record(
-    run_id: &str,
-    config: &PipelineConfig,
-    out: &CrossValidation,
-    delta: &MetricsSnapshot,
-    coverage: &CoverageSnapshot,
-    hot_delta: &[(u32, u64)],
-) -> RunRecord {
-    let mut r = RunRecord::new("pipeline", run_id, config_fingerprint(config));
-    det(&mut r, out, coverage);
-
-    // Run-delta counters (queries by origin, chain/lookup hit rates, …).
-    for (name, value) in &delta.counters {
-        if EXCLUDED_COUNTER_PREFIXES
-            .iter()
-            .any(|p| name.starts_with(p))
-        {
-            continue;
-        }
-        r.det(format!("ctr.{name}"), *value);
-    }
-
-    // Hot-TB execution deltas: which generated code ran, and how much.
-    for &(eip, execs) in hot_delta.iter().take(HOT_TB_ROWS) {
-        r.det(format!("hot_tb.0x{eip:08x}"), execs);
-    }
-
-    // Timing: stage wall clocks from StageStats (always present, so
-    // attribution works even without POKEMU_PROF)…
-    r.timing("wall.total", ns(out.stages.total_wall));
-    r.timing("wall.explore_insns", ns(out.stages.explore_insns));
-    r.timing("wall.parallel", ns(out.stages.parallel_wall));
-    r.timing("wall.analyze", ns(out.stages.analyze));
-    r.timing("wall.generate", ns(out.stages.generate));
-    r.timing("wall.execute", ns(out.stages.execute));
-    // …plus every run-delta timer (per-origin solver time when a span sink
-    // is on) and histogram percentiles under documented names.
-    for (name, value) in &delta.timers {
-        r.timing(name.clone(), *value as f64);
-    }
-    for (name, h) in &delta.histograms {
-        if h.count > 0 {
-            r.timing(format!("p50.{name}"), h.p50() as f64);
-            r.timing(format!("p95.{name}"), h.p95() as f64);
-            r.timing(format!("p99.{name}"), h.p99() as f64);
-        }
-    }
-    r
-}
-
-/// Appends a record to the default ledger, degrading like the manifest
-/// writer: a failed write feeds `history.write_failures` and stderr, never
-/// a panic — a full disk at campaign end still leaves the in-memory result.
-pub fn append_record(record: RunRecord) {
-    if let Err(e) = history::append(record) {
-        metrics::counter("history.write_failures").inc();
-        eprintln!("[history] append failed: {e}");
-    }
-}
+/// Counter namespaces that `pokemu-report diff`'s counter rule skips:
+/// trace bookkeeping is scheduling-dependent, and the manifest writer must
+/// not observe its own side effects.
+pub const EXCLUDED_COUNTER_PREFIXES: [&str; 2] = ["trace.", "manifest."];
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! iterates in the same order in every process and on every platform.
 //!
 //! It gives no protection against keys crafted to collide. A map keyed by
-//! input from outside the program (JSON, ledger records, command lines)
+//! input from outside the program (JSON documents, command lines)
 //! keeps std's `HashMap`.
 
 use std::collections::{HashMap, HashSet};

@@ -16,12 +16,9 @@
 //! bitmaps recording opcode / path / µop / exception-class coverage,
 //! snapshot-diffable and JSONL-exportable for the run manifest and the CI
 //! coverage gate), [`flight`] (a per-thread ring buffer of recent events,
-//! dumped post-hoc on panic or cross-validation deviation), [`fault`]
+//! dumped post-hoc on panic or cross-validation deviation), and [`fault`]
 //! (named deterministic fault-injection points, armed via `POKEMU_FAULT`,
-//! that chaos-test the quarantine and budget layers), and [`history`] (an
-//! append-only, content-hashed cross-run ledger under
-//! `target/history/` — the substrate for `pokemu-report compare`, `trend`,
-//! and the CI trend gate).
+//! that chaos-test the quarantine and budget layers).
 //!
 //! Determinism is the point, not just offline builds: the same seeds produce
 //! the same exploration choices, the same random-baseline tests (E5), and
@@ -34,7 +31,6 @@ pub mod coverage;
 pub mod fault;
 pub mod flight;
 pub mod fxhash;
-pub mod history;
 pub mod json;
 pub mod metrics;
 pub mod pool;
@@ -47,7 +43,6 @@ pub use coverage::{CoverageMap, CoverageSnapshot, MapSnapshot};
 pub use fault::FaultKind;
 pub use flight::FlightEvent;
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use history::RunRecord;
 pub use metrics::{Counter, Histogram, MetricsSnapshot, Timer};
 pub use pool::{for_each, PoolRun, QuarantineRecord, WorkerStats};
 pub use prof::FrameStat;

@@ -230,11 +230,6 @@ impl HistogramSnapshot {
         self.quantile(0.95)
     }
 
-    /// 99th percentile, bucket lower bound (see [`p50`](Self::p50)).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Subtracts an earlier snapshot bucket-wise.
     pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let buckets = (0..self.buckets.len().max(earlier.buckets.len()))
@@ -544,11 +539,9 @@ mod tests {
         // The named accessors are the same bucket-boundary quantiles.
         assert_eq!(hs.p50(), hs.quantile(0.50));
         assert_eq!(hs.p95(), hs.quantile(0.95));
-        assert_eq!(hs.p99(), hs.quantile(0.99));
-        // p95 of 1..=100 ranks ~95, bucket lower bound 64; p99 likewise.
+        // p95 of 1..=100 ranks ~95, bucket lower bound 64.
         assert_eq!(hs.p95(), 64);
-        assert_eq!(hs.p99(), 64);
-        assert_eq!(HistogramSnapshot::default().p99(), 0);
+        assert_eq!(HistogramSnapshot::default().p95(), 0);
     }
 
     #[test]

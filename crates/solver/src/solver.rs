@@ -241,8 +241,8 @@ impl BvSolver {
     pub fn check(&mut self, pool: &TermPool, assumptions: &[TermId]) -> SatResult {
         // Latency is only sampled while a span sink is on: the clock reads
         // are pure overhead otherwise. The span opens *before* fault
-        // injection so an armed latency fault shows up in the attribution
-        // (that visibility is what the bench-gate self-test relies on).
+        // injection so an armed latency fault is billed to
+        // `solver.ns.<origin>` (`tests/chaos_injection.rs` checks this).
         let span = pokemu_rt::span!("solver.check");
         let query_origin = origin::current();
         let (origin_queries, origin_ns) = origin::handles(query_origin);

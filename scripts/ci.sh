@@ -45,10 +45,9 @@ echo "== liftbench tests (the lifted-test benchmark of BENCHMARK.json)"
 cargo test --offline -q --manifest-path liftbench/Cargo.toml
 
 echo "== experiments driver (every EXPERIMENTS.md row, quick scale)"
-# Fails on a non-zero exit, e.g. a panic in one experiment. No ledger
-# records: the rows are printed, not gated.
-POKEMU_HISTORY=0 POKEMU_SCALE=quick \
-    cargo run --release --offline --example regen_experiments
+# Fails on a non-zero exit, e.g. a panic in one experiment. The rows are
+# printed, not gated.
+POKEMU_SCALE=quick cargo run --release --offline --example regen_experiments
 
 echo "== trace + profile smoke (both pokemu_rt::trace sinks end to end)"
 # Run the smoke bench with span events, the folded profile, and the run
@@ -134,16 +133,24 @@ cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
 
 echo "== coverage gate self-test (a coverage-blind run must fail the gate)"
 # Prove the gate actually gates: with coverage recording disabled the
-# manifest records empty bitmaps, which the diff must reject.
+# manifest records empty bitmaps, which the diff must reject with exit 1,
+# naming the opcode map among the violations.
 POKEMU_COVERAGE=0 POKEMU_RUN_MANIFEST=1 POKEMU_RUN_ID=smoke-nocov \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
-if cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
+status=0
+cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
     diff --baseline tests/baselines/smoke-manifest.json \
-    --manifest target/run/smoke-nocov/manifest.json --check >/dev/null 2>&1; then
-    echo "ERROR: coverage gate passed a coverage-blind run" >&2
+    --manifest target/run/smoke-nocov/manifest.json --check \
+    >target/run/smoke-nocov/diff.out 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "ERROR: coverage gate exited $status on a coverage-blind run (want 1):" >&2
+    cat target/run/smoke-nocov/diff.out >&2
     exit 1
 fi
-echo "coverage gate correctly rejected the coverage-blind run"
+grep -q '^\[pokemu-report\] diff violation: coverage\.opcode:' target/run/smoke-nocov/diff.out \
+    || { echo "ERROR: coverage gate failed without naming coverage.opcode:" >&2; \
+         cat target/run/smoke-nocov/diff.out >&2; exit 1; }
+echo "coverage gate correctly rejected the coverage-blind run, naming coverage.opcode"
 
 echo "== deviation gate self-test (a changed path id must fail the gate)"
 # Prove the deviation rule gates: copy the committed baseline, change the
@@ -239,13 +246,12 @@ grep -q 'robustness.quarantined grew' target/run/chaos/diff.out \
          cat target/run/chaos/diff.out >&2; exit 1; }
 echo "diff gate correctly rejected the quarantined run"
 
-echo "== fleet gate (crash-safe sharded exploration, DESIGN.md §13)"
+echo "== fleet gate (crash-safe sharded exploration, DESIGN.md §12)"
 # A healthy 2-shard fleet run over the 0xf7 group must reproduce the
 # committed merged-manifest baseline (coverage bits, clusters, no poisoned
 # shards). Refresh with scripts/refresh-baseline.sh after intentional change.
 rm -rf target/fleet/ci
-POKEMU_HISTORY=0 \
-    cargo run --release --offline -p pokemu-bench --bin pokemu-fleet -- \
+cargo run --release --offline -p pokemu-bench --bin pokemu-fleet -- \
     run --run-id ci --root target/fleet/ci --shards 2 --first-byte 0xf7 \
     --max-paths 64 --backoff-ms 10
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
@@ -265,7 +271,7 @@ echo "== fleet kill-one-worker self-test (SIGKILL mid-shard must be survivable)"
 # no poisoned shards, and the resumed merge must be byte-identical to the
 # healthy run above.
 rm -rf target/fleet/ci-kill
-POKEMU_HISTORY=0 POKEMU_FAULT='fleet.checkpoint:kill:1' \
+POKEMU_FAULT='fleet.checkpoint:kill:1' \
     cargo run --release --offline -p pokemu-bench --bin pokemu-fleet -- \
     run --run-id ci --root target/fleet/ci-kill --shards 2 --first-byte 0xf7 \
     --max-paths 64 --backoff-ms 10
@@ -282,7 +288,7 @@ echo "== fleet poisoned-shard gate self-test (exhausted retries must fail diff)"
 # other shards unaffected), and the diff gate must reject the merge naming
 # the shard.
 rm -rf target/fleet/ci-poison
-POKEMU_HISTORY=0 POKEMU_FAULT='fleet.spawn:unknown:0' \
+POKEMU_FAULT='fleet.spawn:unknown:0' \
     cargo run --release --offline -p pokemu-bench --bin pokemu-fleet -- \
     run --run-id ci --root target/fleet/ci-poison --shards 2 --first-byte 0xf7 \
     --max-paths 64 --max-attempts 2 --backoff-ms 10
@@ -297,80 +303,5 @@ grep -q 'fleet.poisoned grew.*shard-0' target/fleet/poison-selftest.out \
     || { echo "ERROR: diff gate failed without naming the poisoned shard:" >&2; \
          cat target/fleet/poison-selftest.out >&2; exit 1; }
 echo "diff gate correctly rejected the poisoned-shard run, naming shard-0"
-
-echo "== run ledger + trend gate (cross-run history, DESIGN.md §12)"
-# Hermetic history dir: two identical pipeline runs append ledger records,
-# `compare` diffs them with causal attribution, and `trend --check` gates
-# the newest record against the window — all must pass on a healthy pair.
-HDIR=target/history-ci
-HLEDGER=$HDIR/ledger.jsonl
-rm -rf "$HDIR"
-POKEMU_HISTORY_DIR=$HDIR POKEMU_PROF=1 POKEMU_RUN_ID=hist-a \
-    cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
-POKEMU_HISTORY_DIR=$HDIR POKEMU_PROF=1 POKEMU_RUN_ID=hist-b \
-    cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
-cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    compare hist-a hist-b --ledger "$HLEDGER" >target/history-ci/compare.out
-grep -q 'attributed' target/history-ci/compare.out \
-    || { echo "ERROR: compare printed no attribution summary:" >&2; \
-         cat target/history-ci/compare.out >&2; exit 1; }
-cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    trend --check --ledger "$HLEDGER"
-cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    history verify --ledger "$HLEDGER"
-echo "healthy ledger: compare + trend --check + history verify all pass"
-
-echo "== compare attribution self-test (injected solver latency must be named)"
-# Arm a 2 ms latency fault on every solver.check call and append a third
-# record: `compare` against the healthy baseline must decompose the
-# wall-time regression down to a solver origin (solver.ns.<origin>) by name.
-POKEMU_HISTORY_DIR=$HDIR POKEMU_PROF=1 POKEMU_RUN_ID=hist-fault \
-    POKEMU_FAULT='solver.check:latency=2:*' \
-    cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
-cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    compare hist-a hist-fault --ledger "$HLEDGER" >target/history-ci/fault.out
-# The solver origin must appear inside the causal-attribution section, not
-# merely in the raw timing diff above it.
-awk '/== attribution/,0' target/history-ci/fault.out | grep -q 'solver\.ns\.' \
-    || { echo "ERROR: compare did not attribute the regression to a solver origin:" >&2; \
-         cat target/history-ci/fault.out >&2; exit 1; }
-echo "compare correctly attributed the injected latency to a solver origin"
-
-echo "== trend gate self-test (a coverage-blind run must fail by metric name)"
-# Observer toggles are deliberately not part of the config fingerprint, so
-# a coverage-blind run lands in the same trend group and its cov.*.set
-# populations collapse to zero — a deterministic drift the gate must
-# reject, naming the metric.
-POKEMU_HISTORY_DIR=$HDIR POKEMU_COVERAGE=0 POKEMU_RUN_ID=hist-nocov \
-    cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
-if cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    trend --check --ledger "$HLEDGER" >target/history-ci/trend.out 2>&1; then
-    echo "ERROR: trend gate passed a coverage-blind run" >&2
-    exit 1
-fi
-grep -q 'cov\.opcode\.set' target/history-ci/trend.out \
-    || { echo "ERROR: trend gate failed without naming the drifted metric:" >&2; \
-         cat target/history-ci/trend.out >&2; exit 1; }
-echo "trend gate correctly rejected the coverage-blind run by metric name"
-
-echo "== history verify self-test (a tampered record must fail by file name)"
-# Flip one digit inside a stored record body: the content hash no longer
-# matches and `history verify` must exit 1 naming the file and line.
-cp "$HLEDGER" target/history-ci/tampered.jsonl
-sed -i '1s/"seq":1/"seq":9/' target/history-ci/tampered.jsonl
-if cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    history verify --ledger target/history-ci/tampered.jsonl \
-    >target/history-ci/verify.out 2>&1; then
-    echo "ERROR: history verify passed a tampered ledger" >&2
-    exit 1
-fi
-grep -q 'tampered\.jsonl:1' target/history-ci/verify.out \
-    || { echo "ERROR: verify failed without naming the tampered file/line:" >&2; \
-         cat target/history-ci/verify.out >&2; exit 1; }
-cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
-    history gc --cap 2 --ledger target/history-ci/tampered.jsonl >/dev/null
-[ "$(wc -l <target/history-ci/tampered.jsonl)" -eq 2 ] \
-    || { echo "ERROR: history gc --cap 2 did not keep exactly 2 records" >&2; exit 1; }
-echo "history verify correctly rejected the tampered ledger"
 
 echo "CI OK"

@@ -14,8 +14,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use pokemu::harness::{run_cross_validation, CrossValidation, PipelineConfig};
+use pokemu::solver::origin::ORIGINS;
 use pokemu::solver::{BvSolver, SatResult, TermPool};
-use pokemu_rt::fault;
+use pokemu_rt::{fault, metrics, prof, trace};
 
 /// The armed fault set (and the metrics/coverage registries the pipeline
 /// writes to) is process-global, so chaos tests serialize on this lock.
@@ -280,6 +281,45 @@ fn latency_fault_past_the_solver_deadline_degrades_to_unknown() {
         SatResult::Sat,
         "the solver recovers as soon as the stall clears"
     );
+}
+
+/// An injected `solver.check` latency is billed to the origin that issued
+/// the query: with profiling on, every origin's `solver.ns.<origin>` timer
+/// holds at least the 2 ms each of its queries stalled. liftbench's
+/// `explore.solver.ms.*` layers read these timers.
+#[test]
+fn injected_solver_latency_is_billed_to_each_query_origin() {
+    let _g = chaos_lock();
+    let _d = Disarm;
+
+    trace::set_profiling(true);
+    fault::arm("solver.check:latency=2:*").unwrap();
+    let before = metrics::snapshot();
+    let cv = run_cross_validation(PipelineConfig {
+        first_byte: Some(0x80),
+        max_instructions: 1,
+        max_paths_per_insn: 4,
+        threads: 1,
+        ..PipelineConfig::default()
+    });
+    let delta = metrics::snapshot().since(&before);
+    fault::disarm();
+    trace::set_profiling(false);
+    let _ = prof::take();
+
+    assert!(cv.total_paths > 0, "the stalled run still completes");
+    let stall_ns = Duration::from_millis(2).as_nanos() as u64;
+    let mut queries = 0;
+    for origin in ORIGINS {
+        let q = delta.counter(&format!("solver.queries.{origin}"));
+        let ns = delta.timer_ns(&format!("solver.ns.{origin}"));
+        assert!(
+            ns >= q * stall_ns,
+            "solver.ns.{origin} holds {ns} ns for {q} queries stalled 2 ms each"
+        );
+        queries += q;
+    }
+    assert!(queries > 0, "the run issued no solver queries");
 }
 
 /// A run deadline under injected per-item stalls stops dispatch cleanly:

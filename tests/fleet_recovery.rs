@@ -1,14 +1,13 @@
 //! Crash-resume determinism for the sharded exploration fleet
-//! (DESIGN.md §13).
+//! (DESIGN.md §12).
 //!
 //! The fleet's whole robustness claim is that process failure is
 //! *invisible in the results*: a worker SIGKILLed mid-shard, retried by
 //! the coordinator and resumed from its atomic checkpoint, must produce a
 //! merged manifest **byte-identical** — deviations, coverage populations,
 //! clusters, everything — to an uninterrupted run. This test proves it at
-//! 1, 2, and 4 workers, plus the poisoned-shard demotion path, the fleet
-//! run-ledger record, and that a merge's deterministic sections equal a
-//! single-process run's.
+//! 1, 2, and 4 workers, plus the poisoned-shard demotion path and that a
+//! merge's deterministic sections equal a single-process run's.
 //!
 //! `harness = false`: this binary is also the fleet worker. The
 //! coordinator's default `worker_cmd` is `current_exe() worker ...`, so
@@ -21,7 +20,6 @@ use std::time::Duration;
 
 use pokemu::harness::fleet::{self, FleetConfig, ShardStatus};
 use pokemu::harness::{record, run_cross_validation, PipelineConfig};
-use pokemu_rt::history::{self, RunRecord};
 
 /// The workload every scenario runs: one first byte (0xf7 — MUL/DIV/NOT/
 /// NEG/TEST group, 16 classes, known deviations) with a small path cap,
@@ -43,7 +41,6 @@ fn config(run_id: &str, root: &str, shards: usize) -> FleetConfig {
         worker_env: Vec::new(),
         root: Some(PathBuf::from(root)),
         incremental: false,
-        ledger: false,
     }
 }
 
@@ -137,68 +134,18 @@ fn poisoned_shard_is_quarantined_by_name() {
     );
 }
 
-/// The merge appends one `kind: "fleet"` record to the run ledger.
-fn fleet_run_lands_in_ledger() {
-    let hdir = scratch("ledger");
-    let _ = std::fs::remove_dir_all(&hdir);
-    std::env::set_var("POKEMU_HISTORY_DIR", &hdir);
-    std::env::set_var("POKEMU_HISTORY", "1");
-
-    let root = scratch("ledger-run");
-    let _ = std::fs::remove_dir_all(&root);
-    let mut cfg = config("ledger", &root, 2);
-    cfg.ledger = true;
-    let outcome = fleet::run_fleet(&cfg).expect("ledger fleet run");
-
-    let records = history::load(&history::ledger_path()).expect("ledger parses");
-    let rec = records.last().expect("one record appended");
-    assert_eq!(rec.kind, "fleet");
-    assert_eq!(rec.run_id, "ledger");
-    assert_eq!(
-        rec.det.get("count.deviations").copied(),
-        Some(outcome.deviations as u64)
-    );
-    assert_eq!(rec.det.get("count.poisoned").copied(), Some(0));
-    // Timings are nanoseconds, like every other ledger timing: a merge of
-    // real work takes more than a millisecond.
-    let wall = rec.timing["wall.total"];
-    assert!(wall > 1e6, "wall.total must be in nanoseconds, got {wall}");
-    std::env::remove_var("POKEMU_HISTORY_DIR");
-    std::env::remove_var("POKEMU_HISTORY");
-}
-
-/// `count.*`, `robust.*` and `cluster.*` fields but the fleet-only shard
-/// counts.
-fn shared_det(r: &RunRecord) -> Vec<(&String, &u64)> {
-    let fleet_only = ["count.shards", "count.merged", "count.poisoned"];
-    let shared = |k: &str| {
-        ["count.", "robust.", "cluster."]
-            .iter()
-            .any(|p| k.starts_with(p))
-    };
-    r.det
-        .iter()
-        .filter(|(k, _)| shared(k) && !fleet_only.contains(&k.as_str()))
-        .collect()
-}
-
 /// A sharded run is only a cheaper way to produce the same results: a
 /// 2-shard merge and `run_cross_validation` on the same config write
 /// byte-identical `counts`, `clusters`, `robustness` and `deviations`
-/// sections, and their ledger records agree on every shared `count.*`,
-/// `robust.*` and `cluster.*` field.
+/// sections, and the shards' per-instruction solver queries add up to the
+/// single-process run's.
 fn fleet_merge_equals_a_single_process_run() {
-    let hdir = scratch("equiv-history");
-    let _ = std::fs::remove_dir_all(&hdir);
-    std::env::set_var("POKEMU_HISTORY_DIR", &hdir);
-    std::env::set_var("POKEMU_HISTORY", "1");
     std::env::set_var(record::RUN_ID_ENV, "fleet-equiv");
 
     let root = scratch("equiv");
     let _ = std::fs::remove_dir_all(&root);
-    let mut cfg = config("equiv", &root, 2);
-    cfg.ledger = true;
-    fleet::run_fleet(&cfg).expect("fleet run");
+    let cfg = config("equiv", &root, 2);
+    let outcome = fleet::run_fleet(&cfg).expect("fleet run");
     let cv = run_cross_validation(PipelineConfig {
         first_byte: cfg.first_byte,
         max_paths_per_insn: cfg.max_paths_per_insn,
@@ -228,12 +175,20 @@ fn fleet_merge_equals_a_single_process_run() {
         "the merge's deterministic sections differ from the single-process run's"
     );
 
-    let records = history::load(&history::ledger_path()).expect("ledger parses");
-    let det_of = |kind: &str| shared_det(records.iter().find(|r| r.kind == kind).expect(kind));
-    assert_eq!(det_of("fleet"), det_of("pipeline"));
+    let shard_queries: u64 = outcome
+        .shards
+        .iter()
+        .map(|s| {
+            let path = outcome.root.join(&s.name).join("manifest.json");
+            let doc = record::read(&path).expect("shard manifest");
+            doc.insns.iter().map(|r| r.solver_queries).sum::<u64>()
+        })
+        .sum();
+    assert_eq!(
+        shard_queries, cv.stages.solver_queries,
+        "the shards' solver queries differ from the single-process run's"
+    );
     std::env::remove_var(record::RUN_ID_ENV);
-    std::env::remove_var("POKEMU_HISTORY_DIR");
-    std::env::remove_var("POKEMU_HISTORY");
 }
 
 fn main() {
@@ -241,18 +196,15 @@ fn main() {
     if args.first().map(String::as_str) == Some("worker") {
         std::process::exit(fleet::worker_main(&args[1..]));
     }
-    // Keep worker processes hermetic: nothing below must leak a ledger
-    // append or inherit a fault spec from the ambient environment.
+    // Keep worker processes hermetic: nothing below may inherit a fault
+    // spec from the ambient environment.
     std::env::remove_var("POKEMU_FAULT");
-    std::env::set_var("POKEMU_HISTORY", "0");
 
     eprintln!("[fleet_recovery] crash_resume_is_byte_identical");
     crash_resume_is_byte_identical();
     eprintln!("[fleet_recovery] poisoned_shard_is_quarantined_by_name");
     poisoned_shard_is_quarantined_by_name();
-    eprintln!("[fleet_recovery] fleet_run_lands_in_ledger");
-    fleet_run_lands_in_ledger();
     eprintln!("[fleet_recovery] fleet_merge_equals_a_single_process_run");
     fleet_merge_equals_a_single_process_run();
-    println!("fleet_recovery: 4 scenarios passed");
+    println!("fleet_recovery: 3 scenarios passed");
 }
