@@ -125,7 +125,11 @@ struct MachineProbe {
 }
 
 impl MachineProbe {
-    fn of(m: &Machine<TermId>) -> MachineProbe {
+    /// Probes `m`, sharing its memory pages with the probe: the execution
+    /// then copies a page when it first writes it, and the comparison in
+    /// [`MachineProbe::clobbers_of`] skips every page still shared.
+    fn of(m: &mut Machine<TermId>) -> MachineProbe {
+        m.mem.share();
         MachineProbe {
             gpr: m.gpr,
             eflags: m.eflags,
@@ -248,7 +252,7 @@ pub fn explore_state_space(
         };
         let before = {
             let _span = pokemu_rt::span!("explore.clobbers");
-            MachineProbe::of(&m)
+            MachineProbe::of(&mut m)
         };
         let end = match interp::execute_decoded(e, &mut m, &quirks, &inst, layout::CODE_BASE) {
             StepOutcome::Normal => PathEnd::Retired,

@@ -38,8 +38,9 @@ const EFLAGS_PIN_MASK: u32 = !fl::WRITABLE | fl::FIXED_ONE;
 ///
 /// `baseline` supplies every concrete value (the paper uses "a snapshot of
 /// the baseline machine state" as concrete inputs, §6.1). The memory
-/// template should be built once with [`symbolic_memory_template`] and
-/// cloned per path.
+/// template should be built once with [`symbolic_memory_template`]; each
+/// path's machine shares its pages and copies a page only when the path
+/// first writes it or materializes a byte in it.
 pub fn symbolic_machine(
     exec: &mut Executor,
     baseline: &Snapshot,
@@ -204,7 +205,8 @@ fn load_cache(
 
 /// Builds the memory template: the baseline image with the Figure-3
 /// symbolic holes (descriptor attribute bytes, PDE/PTE flag bytes), plus
-/// on-demand symbolic everywhere uninitialized.
+/// on-demand symbolic everywhere uninitialized. Its pages are shared, so
+/// cloning it copies none.
 pub fn symbolic_memory_template(exec: &mut Executor, baseline: &Snapshot) -> Memory<TermId> {
     let mut mem: Memory<TermId> = Memory::new();
     mem.set_policy(MissingPolicy::Symbolic);
@@ -232,6 +234,7 @@ pub fn symbolic_memory_template(exec: &mut Executor, baseline: &Snapshot) -> Mem
     fill(layout::GDT_BASE, layout::GDT_BASE + 16 * 8, &mut mem);
     fill(layout::PD_BASE, layout::PD_BASE + 0x1000, &mut mem);
     fill(layout::PT_BASE, layout::PT_BASE + 0x1000, &mut mem);
+    mem.share();
     mem
 }
 

@@ -7,20 +7,20 @@
 //! with the baseline image builds a post-baseline template of the target
 //! (Lo-Fi: one per [`Fidelity`]), and every such program forks from it,
 //! loads its own code and runs with what the baseline left of
-//! [`STEP_BUDGET`]. A fork ends in exactly the state a full boot-and-run
-//! reaches (DESIGN.md §3). Other programs boot from scratch.
+//! [`STEP_BUDGET`]. A fork shares the template's memory pages and copies a
+//! page only when it first writes it. It ends in exactly the state a full
+//! boot-and-run reaches (DESIGN.md §3). Other programs boot from scratch.
 
 use std::sync::{Mutex, OnceLock};
 
 use pokemu_hifi::HiFi;
 use pokemu_hwref::{TrapReason, Vmm};
 use pokemu_isa::asm::Asm;
-use pokemu_isa::mem::Memory;
-use pokemu_isa::snapshot::{PagedMem, Snapshot};
+use pokemu_isa::snapshot::Snapshot;
 use pokemu_isa::state::{attrs, Seg};
 use pokemu_lofi::{Fidelity, Lofi};
 use pokemu_rt::metrics;
-use pokemu_symx::{CVal, Dom};
+use pokemu_symx::Dom;
 use pokemu_testgen::{boot_state, layout, TestProgram};
 
 /// Step budget for one test program, counted from boot: instructions on
@@ -66,17 +66,11 @@ trait Emulator: Sized {
     fn advance(&mut self) -> bool;
     /// Runs at most `budget` steps and snapshots the result.
     fn run_out(&mut self, budget: u64) -> Snapshot;
-    /// A copy of the machine without its memory.
+    /// Makes every memory page (and Lo-Fi block) shared, so that forks
+    /// copy no page until they write it.
+    fn share(&mut self);
+    /// A copy of the machine that shares its shared memory pages.
     fn fork(&self) -> Self;
-    /// Moves out the memory that holds data.
-    fn take_memory(&mut self) -> PagedMem;
-}
-
-/// The non-zero bytes of an interpreter's memory.
-fn data(mem: &Memory<CVal>) -> PagedMem {
-    mem.iter_initialized()
-        .map(|(a, v)| (a, v.v as u8))
-        .collect()
 }
 
 impl Emulator for HiFi {
@@ -93,11 +87,11 @@ impl Emulator for HiFi {
         let exit = self.run(budget);
         self.snapshot(exit)
     }
+    fn share(&mut self) {
+        self.machine_mut().mem.share();
+    }
     fn fork(&self) -> Self {
         self.clone()
-    }
-    fn take_memory(&mut self) -> PagedMem {
-        data(&std::mem::take(&mut self.machine_mut().mem))
     }
 }
 
@@ -115,11 +109,11 @@ impl Emulator for Vmm {
         let reason = self.run(budget);
         self.snapshot(reason)
     }
+    fn share(&mut self) {
+        self.guest_mut().mem.share();
+    }
     fn fork(&self) -> Self {
         self.clone()
-    }
-    fn take_memory(&mut self) -> PagedMem {
-        data(&std::mem::take(&mut self.guest_mut().mem))
     }
 }
 
@@ -137,11 +131,11 @@ impl Emulator for Lofi {
         let exit = self.run(budget);
         self.snapshot(exit)
     }
+    fn share(&mut self) {
+        Lofi::share(self);
+    }
     fn fork(&self) -> Self {
         Lofi::fork(self)
-    }
-    fn take_memory(&mut self) -> PagedMem {
-        std::mem::take(&mut self.machine_mut().ram).to_mem()
     }
 }
 
@@ -156,12 +150,9 @@ fn baseline_image() -> &'static [u8] {
     })
 }
 
-/// A target right after the baseline initializer.
+/// A target right after the baseline initializer, its memory shared.
 struct Template<E> {
-    /// The machine without its memory.
     emu: E,
-    /// The memory that holds data.
-    mem: PagedMem,
     /// Steps (Lo-Fi: blocks) the baseline took.
     steps: u64,
 }
@@ -178,17 +169,14 @@ impl<E: Emulator> Template<E> {
             );
             steps += 1;
         }
-        let mem = emu.take_memory();
-        Template { emu, mem, steps }
+        emu.share();
+        Template { emu, steps }
     }
 
-    /// A copy of the post-baseline machine with `code` loaded, and the
+    /// A fork of the post-baseline machine with `code` loaded, and the
     /// budget a full run would have left at this point.
     fn fork(&self, code: &[u8]) -> (E, u64) {
         let mut emu = self.emu.fork();
-        for (addr, page) in self.mem.pages() {
-            emu.load(addr, page);
-        }
         emu.load(layout::CODE_BASE, code);
         (emu, STEP_BUDGET - self.steps)
     }
@@ -374,6 +362,7 @@ pub fn baseline_snapshot() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pokemu_isa::page::Page;
 
     #[test]
     fn all_targets_complete_the_baseline() {
@@ -404,8 +393,21 @@ mod tests {
         );
         // GDT, IDT, halt handler, scratch, page directory, page table,
         // code and stack.
-        assert_eq!(lofi.mem.pages().count(), 8);
-        assert_eq!(hifi.mem, lofi.mem);
-        assert_eq!(hardware.mem, lofi.mem);
+        let lofi_mem = lofi.emu.machine().ram.to_mem();
+        assert_eq!(lofi_mem.pages().count(), 8);
+        assert_eq!(hifi.emu.machine().mem.to_mem(), lofi_mem);
+        assert_eq!(hardware.emu.guest().mem.to_mem(), lofi_mem);
+        // The templates keep their memory, all of it shared, so a fork
+        // copies no page until it writes one.
+        assert!(lofi
+            .emu
+            .machine()
+            .ram
+            .pages()
+            .all(|(_, p)| matches!(p, Page::Shared(_))));
+        let mut fork = hifi.fork(baseline_image()).0;
+        assert_eq!(fork.machine().mem, hifi.emu.machine().mem);
+        fork.load(layout::SCRATCH_BASE, &[0x5a]);
+        assert_eq!(hifi.emu.machine().mem.to_mem(), lofi_mem);
     }
 }

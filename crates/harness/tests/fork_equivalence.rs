@@ -95,6 +95,16 @@ fn assert_forks_match(prog: &TestProgram, fidelity: Fidelity) -> [Snapshot; 3] {
     reference
 }
 
+/// Asserts that each target's template still yields its post-baseline
+/// image: a fork of the baseline-only program ends in the state a
+/// boot-and-run of it reaches. Forks share the templates' memory pages, so
+/// this fails if a fork's write reached a template.
+fn assert_templates_intact(fidelity: Fidelity) {
+    let prog = TestProgram::baseline_only("nop".into(), &[0x90]).unwrap();
+    let [hardware, ..] = assert_forks_match(&prog, fidelity);
+    assert_eq!(hardware.outcome, Outcome::Halted);
+}
+
 #[test]
 fn sweep_programs_fork_to_the_boot_and_run_snapshot() {
     let baseline = baseline_snapshot();
@@ -120,6 +130,7 @@ fn sweep_programs_fork_to_the_boot_and_run_snapshot() {
         }
     }
     assert!(tested >= 20, "only {tested} sweep programs");
+    assert_templates_intact(Fidelity::QEMU_LIKE);
 }
 
 #[test]
@@ -140,6 +151,7 @@ fn corpus_programs_fork_to_the_boot_and_run_snapshot() {
         timeouts,
         ["chain/flags-popf-branch", "chain/shift-then-branch"]
     );
+    assert_templates_intact(CONFORMANCE_FIDELITY);
 }
 
 #[test]

@@ -29,6 +29,7 @@ pub mod flags;
 pub mod inst;
 pub mod interp;
 pub mod mem;
+pub mod page;
 pub mod snapshot;
 pub mod state;
 pub mod translate;

@@ -9,10 +9,10 @@
 //! when a location is accessed", §3.3.2).
 
 use pokemu_rt::FxHashMap;
-use pokemu_symx::Dom;
+use pokemu_symx::{Dom, Stored};
 
-const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+use crate::page::{Page, Slots, PAGE_SHIFT, PAGE_SIZE};
+use crate::snapshot::PagedMem;
 
 /// What an unwritten byte reads as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,37 +25,32 @@ pub enum MissingPolicy {
     Symbolic,
 }
 
-/// One 4-KiB page. A page is created only by a write or by a read that
-/// materializes a byte, so no page is ever all-`None`: two memories are
-/// equal exactly when they hold the same initialized bytes.
+/// Sparse physical memory over domain values: copy-on-write 4-KiB
+/// [`Page`]s of one slot per byte, sized by the domain ([`Stored`]). A
+/// concrete page is 4 KiB of bytes, and an absent page reads as zero. A
+/// symbolic page holds optional term ids; it is created by a write or by a
+/// read that materializes a byte, so no symbolic page is ever all empty
+/// and two symbolic memories are equal exactly when they hold the same
+/// bytes.
+///
+/// Cloning copies owned pages and shares shared ones. [`Memory::share`]
+/// makes every page shared, so a template that shares its memory once is
+/// cloned per fork without copying a page, and each clone copies a page
+/// when it first writes it.
 #[derive(Debug, Clone, PartialEq)]
-struct Page<V> {
-    bytes: Vec<Option<V>>,
-}
-
-impl<V: Copy> Page<V> {
-    fn new() -> Self {
-        Page {
-            bytes: vec![None; PAGE_SIZE],
-        }
-    }
-}
-
-/// Sparse physical memory over domain values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Memory<V> {
-    pages: FxHashMap<u32, Page<V>>,
+pub struct Memory<V: Stored> {
+    pages: FxHashMap<u32, Page<V::Slot>>,
     policy: MissingPolicy,
     size: u32,
 }
 
-impl<V: Copy> Default for Memory<V> {
+impl<V: Stored> Default for Memory<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V: Copy> Memory<V> {
+impl<V: Stored> Memory<V> {
     /// Creates an empty memory of [`crate::state::PHYS_MEM_SIZE`] bytes with
     /// the zero policy.
     pub fn new() -> Self {
@@ -83,8 +78,33 @@ impl<V: Copy> Memory<V> {
         self.size
     }
 
-    fn wrap(&self, addr: u32) -> u32 {
-        addr % self.size
+    /// Page number and in-page offset of `addr`, wrapped at the size.
+    fn slot(&self, addr: u32) -> (u32, usize) {
+        let addr = addr % self.size;
+        (addr >> PAGE_SHIFT, addr as usize & (PAGE_SIZE - 1))
+    }
+
+    /// Page `pno`, writable, created empty if absent.
+    fn page_mut(&mut self, pno: u32) -> &mut Slots<V::Slot> {
+        self.pages
+            .entry(pno)
+            .or_insert_with(|| Page::filled(V::EMPTY))
+            .make_mut()
+    }
+
+    /// Makes every page shared, so that clones of this memory copy no page
+    /// until they write it.
+    pub fn share(&mut self) {
+        for page in self.pages.values_mut() {
+            page.share();
+        }
+    }
+
+    /// The byte at `addr` without materializing it: `None` for a symbolic
+    /// byte no write or read has created yet.
+    pub fn get(&self, addr: u32) -> Option<V> {
+        let (pno, off) = self.slot(addr);
+        V::from_slot(self.pages.get(&pno).map_or(V::EMPTY, |page| page[off]))
     }
 
     /// Reads one byte of physical memory.
@@ -92,33 +112,30 @@ impl<V: Copy> Memory<V> {
     /// Unwritten bytes are materialized per the policy; a symbolic
     /// materialization is stored so later reads see the same variable.
     pub fn read_u8<D: Dom<V = V>>(&mut self, d: &mut D, addr: u32) -> V {
-        let addr = self.wrap(addr);
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(Page::new);
-        let slot = &mut page.bytes[(addr as usize) & (PAGE_SIZE - 1)];
-        match *slot {
-            Some(v) => v,
-            None => {
-                let v = match self.policy {
-                    MissingPolicy::Zero => d.constant(8, 0),
-                    MissingPolicy::Symbolic => d.fresh_input(8, &format!("mem_{addr:08x}")),
-                };
-                *slot = Some(v);
-                v
-            }
+        if let Some(v) = self.get(addr) {
+            return v;
         }
+        let (pno, off) = self.slot(addr);
+        let v = match self.policy {
+            MissingPolicy::Zero => d.constant(8, 0),
+            MissingPolicy::Symbolic => d.fresh_input(8, &format!("mem_{:08x}", addr % self.size)),
+        };
+        self.page_mut(pno)[off] = v.to_slot();
+        v
     }
 
-    /// Writes one byte of physical memory.
+    /// Writes one byte of physical memory. A zero byte written to an absent
+    /// concrete page leaves the page absent, and a shared page is copied
+    /// only when the write changes it.
     pub fn write_u8(&mut self, addr: u32, v: V) {
-        let addr = self.wrap(addr);
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(Page::new);
-        page.bytes[(addr as usize) & (PAGE_SIZE - 1)] = Some(v);
+        let (pno, off) = self.slot(addr);
+        let slot = v.to_slot();
+        match self.pages.get_mut(&pno) {
+            Some(Page::Shared(shared)) if shared[off] == slot => {}
+            Some(page) => page.make_mut()[off] = slot,
+            None if slot == V::EMPTY => {}
+            None => self.page_mut(pno)[off] = slot,
+        }
     }
 
     /// Reads `n` bytes (1, 2, 4 or 8) little-endian as one value of width `8n`.
@@ -147,30 +164,29 @@ impl<V: Copy> Memory<V> {
         let mut addr = addr;
         let mut rest = bytes;
         while !rest.is_empty() {
-            let a = self.wrap(addr);
-            let off = (a as usize) & (PAGE_SIZE - 1);
-            let n = rest.len().min(PAGE_SIZE - off);
-            let page = self.pages.entry(a >> PAGE_SHIFT).or_insert_with(Page::new);
-            for (slot, &b) in page.bytes[off..off + n].iter_mut().zip(&rest[..n]) {
-                *slot = Some(d.constant(8, b as u64));
+            let (pno, off) = self.slot(addr);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            let page = self.page_mut(pno);
+            for (slot, &b) in page[off..off + chunk.len()].iter_mut().zip(chunk) {
+                *slot = d.constant(8, b as u64).to_slot();
             }
-            addr = addr.wrapping_add(n as u32);
-            rest = &rest[n..];
+            addr = addr.wrapping_add(chunk.len() as u32);
+            rest = tail;
         }
     }
+}
 
-    /// Iterates over all initialized bytes as `(address, value)` pairs in
-    /// address order.
-    pub fn iter_initialized(&self) -> impl Iterator<Item = (u32, V)> + '_ {
-        let mut pages: Vec<(&u32, &Page<V>)> = self.pages.iter().collect();
-        pages.sort_by_key(|(p, _)| **p);
-        pages.into_iter().flat_map(|(pno, page)| {
-            let base = pno << PAGE_SHIFT;
-            page.bytes
-                .iter()
-                .enumerate()
-                .filter_map(move |(i, b)| b.map(|v| (base + i as u32, v)))
-        })
+impl<V: Stored<Slot = u8>> Memory<V> {
+    /// The snapshot image of a concrete memory: each page that holds a
+    /// non-zero byte, shared when the page is shared and copied when owned.
+    pub fn to_mem(&self) -> PagedMem {
+        let mut pages: Vec<(u32, &Page<u8>)> = self
+            .pages
+            .iter()
+            .map(|(&pno, page)| (pno << PAGE_SHIFT, page))
+            .collect();
+        pages.sort_unstable_by_key(|&(base, _)| base);
+        PagedMem::from_pages(pages)
     }
 }
 
@@ -252,14 +268,21 @@ mod tests {
         let bytes: Vec<u8> = (1..=8).collect();
         m.load_bytes(&mut d, 0x1ffc, &bytes);
         m.load_bytes(&mut d, end - 2, &[0xaa, 0xbb, 0xcc]);
-        let init: Vec<(u32, u64)> = m
-            .iter_initialized()
-            .map(|(a, v)| (a, d.as_const(v).unwrap()))
-            .collect();
-        let mut want: Vec<(u32, u64)> = (0..8).map(|i| (0x1ffc + i, i as u64 + 1)).collect();
+        let init: Vec<(u32, u8)> = m.to_mem().iter().collect();
+        let mut want: Vec<(u32, u8)> = (0..8).map(|i| (0x1ffc + i, i as u8 + 1)).collect();
         want.insert(0, (0, 0xcc));
         want.extend([(end - 2, 0xaa), (end - 1, 0xbb)]);
         assert_eq!(init, want);
+    }
+
+    #[test]
+    fn concrete_reads_and_zero_writes_create_no_page() {
+        let mut d = Concrete::new();
+        let mut m: Memory<_> = Memory::new();
+        let z = m.read_u8(&mut d, 0x5000);
+        assert_eq!(d.as_const(z), Some(0));
+        m.write_u8(0x6000, z);
+        assert_eq!(m, Memory::new());
     }
 
     #[test]
@@ -267,10 +290,7 @@ mod tests {
         let mut d = Concrete::new();
         let mut m: Memory<_> = Memory::new();
         m.load_bytes(&mut d, 0x7c00, &[1, 2, 3]);
-        let init: Vec<(u32, u64)> = m
-            .iter_initialized()
-            .map(|(a, v)| (a, d.as_const(v).unwrap()))
-            .collect();
+        let init: Vec<(u32, u8)> = m.to_mem().iter().collect();
         assert_eq!(init, vec![(0x7c00, 1), (0x7c01, 2), (0x7c02, 3)]);
     }
 }

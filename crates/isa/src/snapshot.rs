@@ -11,15 +11,11 @@ use std::fmt;
 
 use pokemu_symx::{Concrete, Dom};
 
+pub use crate::page::PAGE_SIZE;
+use crate::page::{Page, Slots, PAGE_SHIFT};
 use crate::state::{Machine, Seg};
 
-/// Bytes per [`PagedMem`] page.
-pub const PAGE_SIZE: usize = 4096;
-const PAGE_SHIFT: u32 = 12;
-
-type Page = [u8; PAGE_SIZE];
-
-static ZERO_PAGE: Page = [0; PAGE_SIZE];
+static ZERO_PAGE: Slots<u8> = [0; PAGE_SIZE];
 
 /// A snapshot's physical memory: every 4-KiB page that holds a non-zero
 /// byte, sorted by page number. Bytes outside those pages read as zero.
@@ -27,21 +23,29 @@ static ZERO_PAGE: Page = [0; PAGE_SIZE];
 /// No all-zero page is ever stored, so the image is canonical and the
 /// derived equality is exact: two images are `==` exactly when every byte
 /// agrees. [`PagedMem::iter`] yields the non-zero bytes in ascending address
-/// order, the order exploration interns baseline constants in.
+/// order, the order exploration interns baseline constants in. A snapshot
+/// holds a guest memory's shared pages without copying them.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct PagedMem {
-    pages: Vec<(u32, Box<Page>)>,
+    pages: Vec<(u32, Page<u8>)>,
+}
+
+/// Whether `page` holds a non-zero byte. Each 64-byte OR-reduce
+/// vectorizes, and the scan stops at the first chunk with data.
+fn has_data(page: &Slots<u8>) -> bool {
+    page.chunks_exact(64)
+        .any(|chunk| chunk.iter().fold(0, |acc, &b| acc | b) != 0)
 }
 
 impl PagedMem {
-    /// Copies the pages with content from `(base address, page)` pairs in
-    /// ascending address order, as a paged guest RAM holds them.
-    pub fn from_pages<'a>(pages: impl IntoIterator<Item = (u32, &'a [u8; PAGE_SIZE])>) -> PagedMem {
+    /// The pages with content from `(base address, page)` pairs in
+    /// ascending address order, as a paged guest memory holds them: a
+    /// shared page is shared, an owned one copied.
+    pub fn from_pages<'a>(pages: impl IntoIterator<Item = (u32, &'a Page<u8>)>) -> PagedMem {
         let pages = pages
             .into_iter()
-            // The OR-reduce vectorizes.
-            .filter(|(_, page)| page.iter().fold(0, |acc, &b| acc | b) != 0)
-            .map(|(base, page)| (base >> PAGE_SHIFT, Box::new(*page)))
+            .filter(|(_, page)| has_data(page))
+            .map(|(base, page)| (base >> PAGE_SHIFT, page.clone()))
             .collect::<Vec<_>>();
         debug_assert!(
             pages.windows(2).all(|w| w[0].0 < w[1].0),
@@ -51,7 +55,7 @@ impl PagedMem {
     }
 
     /// Page number `pno`, or the zero page when absent.
-    fn page(&self, pno: u32) -> &Page {
+    fn page(&self, pno: u32) -> &Slots<u8> {
         match self.pages.binary_search_by_key(&pno, |(p, _)| *p) {
             Ok(i) => &self.pages[i].1,
             Err(_) => &ZERO_PAGE,
@@ -109,19 +113,20 @@ impl PagedMem {
 }
 
 /// Builds the image from `(address, byte)` pairs in ascending address
-/// order, as [`crate::Memory::iter_initialized`] yields them. Zero bytes
-/// are skipped.
+/// order. Zero bytes are skipped.
 impl FromIterator<(u32, u8)> for PagedMem {
     fn from_iter<I: IntoIterator<Item = (u32, u8)>>(bytes: I) -> PagedMem {
-        let mut pages: Vec<(u32, Box<Page>)> = Vec::new();
+        let mut pages: Vec<(u32, Page<u8>)> = Vec::new();
         for (addr, b) in bytes.into_iter().filter(|&(_, b)| b != 0) {
             let pno = addr >> PAGE_SHIFT;
             match pages.last_mut() {
-                Some((last, page)) if *last == pno => page[addr as usize % PAGE_SIZE] = b,
+                Some((last, page)) if *last == pno => {
+                    page.make_mut()[addr as usize % PAGE_SIZE] = b
+                }
                 last => {
                     debug_assert!(last.is_none_or(|(p, _)| *p < pno), "addresses must ascend");
-                    let mut page = Box::new([0; PAGE_SIZE]);
-                    page[addr as usize % PAGE_SIZE] = b;
+                    let mut page = Page::filled(0);
+                    page.make_mut()[addr as usize % PAGE_SIZE] = b;
                     pages.push((pno, page));
                 }
             }
@@ -214,11 +219,6 @@ impl Snapshot {
                 attrs: g(d, sr.cache.attrs) as u16,
             };
         }
-        let mem = m
-            .mem
-            .iter_initialized()
-            .map(|(addr, v)| (addr, d.as_const(v).expect("concrete memory") as u8))
-            .collect();
         Snapshot {
             gpr: std::array::from_fn(|i| g(d, m.gpr[i])),
             eip: m.eip,
@@ -230,7 +230,7 @@ impl Snapshot {
             cr4: g(d, m.cr4),
             gdtr: (m.gdtr.base, g(d, m.gdtr.limit) as u16),
             idtr: (m.idtr.base, g(d, m.idtr.limit) as u16),
-            mem,
+            mem: m.mem.to_mem(),
             outcome,
         }
     }

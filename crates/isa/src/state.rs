@@ -5,7 +5,7 @@
 //! symbolic/concrete split of Figure 3 is *not* encoded here — it is a
 //! property of how exploration initializes the state (see `pokemu-explore`).
 
-use pokemu_symx::Dom;
+use pokemu_symx::{Dom, Stored};
 
 use crate::mem::Memory;
 
@@ -330,7 +330,7 @@ pub const VALID_MSRS: [u32; 4] = [0x10, 0x174, 0x175, 0x176];
 /// definition of machine state (§2): registers, flags, segment state,
 /// control registers, descriptor-table registers, MSRs, and physical memory.
 #[derive(Debug, Clone)]
-pub struct Machine<V> {
+pub struct Machine<V: Stored> {
     /// General-purpose registers, indexed by [`Gpr`].
     pub gpr: [V; 8],
     /// Instruction pointer. Concrete: tests always place the test
@@ -361,7 +361,7 @@ pub struct Machine<V> {
     pub mem: Memory<V>,
 }
 
-impl<V: Copy> Machine<V> {
+impl<V: Stored> Machine<V> {
     /// Builds a machine with every register zeroed and empty memory.
     ///
     /// Use `pokemu_testgen::baseline` for a runnable configuration; this

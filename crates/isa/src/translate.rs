@@ -11,7 +11,7 @@
 //! Hi-Fi emulator routes it through [`pokemu_symx::Dom::summary_hook`] under
 //! the key [`DESC_SUMMARY_KEY`].
 
-use pokemu_symx::Dom;
+use pokemu_symx::{Dom, Stored};
 
 use crate::state::{attrs, cr0, Exception, Machine, Seg};
 
@@ -350,7 +350,7 @@ pub fn lin_write<D: Dom>(
     Ok(())
 }
 
-fn set_cr2<V>(
+fn set_cr2<V: Stored>(
     m: &mut Machine<V>,
     r: Result<(u32, Option<u32>), Exception>,
 ) -> Result<(u32, Option<u32>), Exception> {

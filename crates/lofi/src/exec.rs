@@ -228,8 +228,25 @@ pub fn cond_eval(eflags: u32, cc: u8) -> bool {
     }
 }
 
-/// Executes one translation block.
+/// The µop kinds a block ran fit one `u128`, one bit per `coverage.uop` bit.
+const _: () = assert!(UOP_COVERAGE_BITS == u128::BITS as usize);
+
+/// Executes one translation block and records the µop kinds it ran in
+/// `coverage.uop`, once per block: a block exit publishes the kinds it
+/// collected, so an early exit records only the µops that ran.
 pub fn exec_tb(core: &mut Core, tb: &Tb) -> TbExit {
+    static UOP_COV: std::sync::OnceLock<pokemu_rt::CoverageMap> = std::sync::OnceLock::new();
+    let mut ran = 0u128;
+    let exit = run_uops(core, tb, &mut ran);
+    let uop_cov =
+        *UOP_COV.get_or_init(|| pokemu_rt::coverage::map("coverage.uop", UOP_COVERAGE_BITS));
+    uop_cov.set_word(0, ran as u64);
+    uop_cov.set_word(1, (ran >> 64) as u64);
+    exit
+}
+
+/// Runs a block's µops, adding the kind of each one it starts to `ran`.
+fn run_uops(core: &mut Core, tb: &Tb, ran: &mut u128) -> TbExit {
     let mut t = [0u32; 256];
     let mut cur_insn = tb.start;
     macro_rules! fault {
@@ -246,13 +263,8 @@ pub fn exec_tb(core: &mut Core, tb: &Tb) -> TbExit {
             }
         };
     }
-    // Resolve the µop coverage map once per process; per-µop recording is
-    // then one relaxed `fetch_or` (or a single relaxed load when disabled).
-    static UOP_COV: std::sync::OnceLock<pokemu_rt::CoverageMap> = std::sync::OnceLock::new();
-    let uop_cov =
-        *UOP_COV.get_or_init(|| pokemu_rt::coverage::map("coverage.uop", UOP_COVERAGE_BITS));
     for uop in &tb.uops {
-        uop_cov.set(uop.cov_index());
+        *ran |= 1 << uop.cov_index();
         match *uop {
             Uop::InsnStart { cur, next } => {
                 cur_insn = cur;

@@ -12,9 +12,9 @@
 //!   DESIGN.md §11);
 //! * a softmmu with a TLB serves memory accesses through a *fast path that
 //!   skips segmentation checks* ([`mmu`]);
-//! * guest RAM is a table of 4-KiB pages, each allocated on its first
-//!   non-zero write ([`state::Ram`]), so a forked run touches only its own
-//!   pages;
+//! * guest RAM is a table of copy-on-write 4-KiB pages, each allocated on
+//!   its first non-zero write ([`state::Ram`]), so a forked run shares its
+//!   template's pages and copies only those it writes;
 //! * EFLAGS are lazy ([`state::CcState`]), materialized on demand;
 //! * complex instructions run as out-of-line helpers ([`exec`]).
 //!
@@ -41,11 +41,11 @@ pub mod uop;
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::ops::RangeInclusive;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use pokemu_isa::snapshot::{Outcome, SegSnapshot, Snapshot};
 use pokemu_isa::state::Exception;
-use pokemu_rt::{metrics, FxHashMap};
+use pokemu_rt::{metrics, FxHashMap, FxHashSet};
 
 pub use exec::{Core, TbExit};
 pub use state::{Fidelity, LofiMachine};
@@ -224,6 +224,16 @@ struct LiveTb {
     execs: u64,
 }
 
+/// The blocks an emulator shares with its forks ([`Lofi::share`]): read by
+/// every fork, written by none.
+#[derive(Debug, Default, Clone)]
+struct SharedBlocks {
+    /// Entry EIP → block.
+    tbs: FxHashMap<u32, Tb>,
+    /// Virtual page → entry EIPs of the blocks overlapping it.
+    by_page: FxHashMap<u32, Vec<u32>>,
+}
+
 /// Virtual pages a block's guest bytes overlap.
 fn pages(tb: &Tb) -> RangeInclusive<u32> {
     (tb.start >> 12)..=(tb.end.wrapping_sub(1) >> 12)
@@ -246,14 +256,20 @@ fn pages(tb: &Tb) -> RangeInclusive<u32> {
 #[derive(Debug)]
 pub struct Lofi {
     core: Core,
-    /// Entry EIP → live block.
+    /// Entry EIP → live block this instance owns; a lookup that misses
+    /// here tries `shared`.
     tbs: FxHashMap<u32, LiveTb>,
-    /// Virtual page → entry EIPs of blocks whose guest bytes overlap it.
-    /// An entry goes stale when its block is invalidated through another
-    /// page and retranslated with a different extent.
+    /// Virtual page → entry EIPs of owned blocks whose guest bytes overlap
+    /// it. An entry goes stale when its block is invalidated through
+    /// another page and retranslated with a different extent.
     tbs_by_page: FxHashMap<u32, Vec<u32>>,
-    /// Execution counts of invalidated blocks, by entry EIP.
-    dead_execs: FxHashMap<u32, u64>,
+    /// Blocks shared with the emulator this one was forked from and its
+    /// other forks.
+    shared: Arc<SharedBlocks>,
+    /// Entry EIPs of the shared blocks this instance has invalidated.
+    dead_shared: FxHashSet<u32>,
+    /// Execution counts of shared and of invalidated blocks, by entry EIP.
+    other_execs: FxHashMap<u32, u64>,
     stats: LofiStats,
     tally: Tally,
     metrics: LofiMetrics,
@@ -302,7 +318,9 @@ impl Lofi {
             core: Core::new(fid),
             tbs: FxHashMap::default(),
             tbs_by_page: FxHashMap::default(),
-            dead_execs: FxHashMap::default(),
+            shared: Arc::default(),
+            dead_shared: FxHashSet::default(),
+            other_execs: FxHashMap::default(),
             stats: LofiStats::default(),
             tally: Tally::default(),
             metrics: LofiMetrics::new(),
@@ -310,29 +328,46 @@ impl Lofi {
         }
     }
 
-    /// A copy of this emulator over RAM with no page allocated: registers,
-    /// TLB and translated blocks carry over; execution counts, statistics
-    /// and counters start at zero. The harness forks every test run from a
-    /// post-baseline template this way and loads the template's pages
-    /// itself.
+    /// Makes every RAM page and translated block shared, so that forks
+    /// copy no block, and no page until they write it.
+    pub fn share(&mut self) {
+        self.core.m.ram.share();
+        let shared = Arc::make_mut(&mut self.shared);
+        for eip in self.dead_shared.drain() {
+            shared.tbs.remove(&eip);
+        }
+        for (eip, live) in self.tbs.drain() {
+            *self.other_execs.entry(eip).or_default() += live.execs;
+            shared.tbs.insert(eip, live.tb);
+        }
+        for (page, eips) in self.tbs_by_page.drain() {
+            shared.by_page.entry(page).or_default().extend(eips);
+        }
+    }
+
+    /// A copy of this emulator: registers, RAM, TLB and translated blocks
+    /// carry over; execution counts, statistics and counters start at
+    /// zero. Like RAM pages, shared blocks are shared and owned ones
+    /// copied, so after [`Lofi::share`] the copy copies no block, and a
+    /// page only when it first changes it. The harness forks every test
+    /// run from a post-baseline template this way.
     pub fn fork(&self) -> Lofi {
-        let live = |live: &LiveTb| LiveTb {
+        let own = |live: &LiveTb| LiveTb {
             tb: live.tb.clone(),
             execs: 0,
         };
         Lofi {
             core: Core {
-                m: LofiMachine {
-                    ram: state::Ram::new(),
-                    ..self.core.m
-                },
+                m: self.core.m.clone(),
                 tlb: self.core.tlb.clone(),
                 fid: self.core.fid,
                 dirty_pages: self.core.dirty_pages.clone(),
             },
-            tbs: self.tbs.iter().map(|(&eip, t)| (eip, live(t))).collect(),
+            tbs: self.tbs.iter().map(|(&eip, t)| (eip, own(t))).collect(),
             tbs_by_page: self.tbs_by_page.clone(),
-            dead_execs: FxHashMap::default(),
+            shared: Arc::clone(&self.shared),
+            dead_shared: self.dead_shared.clone(),
+            other_execs: FxHashMap::default(),
             stats: LofiStats::default(),
             tally: Tally::default(),
             metrics: self.metrics,
@@ -373,12 +408,13 @@ impl Lofi {
         sorted_hot(&counts)
     }
 
-    /// Adds executions by entry EIP, live and invalidated blocks together,
-    /// into `table`; blocks a fork inherited and never ran are left out.
+    /// Adds executions by entry EIP, owned, shared and invalidated blocks
+    /// together, into `table`; blocks a fork inherited and never ran are
+    /// left out.
     fn add_exec_counts(&self, table: &mut FxHashMap<u32, u64>) {
-        let dead = self.dead_execs.iter().map(|(&eip, &n)| (eip, n));
+        let other = self.other_execs.iter().map(|(&eip, &n)| (eip, n));
         let live = self.tbs.iter().map(|(&eip, live)| (eip, live.execs));
-        for (eip, n) in dead.chain(live) {
+        for (eip, n) in other.chain(live) {
             if n > 0 {
                 *table.entry(eip).or_default() += n;
             }
@@ -396,9 +432,19 @@ impl Lofi {
             for eip in self.tbs_by_page.remove(&p).unwrap_or_default() {
                 if let Entry::Occupied(live) = self.tbs.entry(eip) {
                     if pages(&live.get().tb).contains(&p) {
-                        *self.dead_execs.entry(eip).or_default() += live.remove().execs;
+                        *self.other_execs.entry(eip).or_default() += live.remove().execs;
                         self.stats.invalidations += 1;
                     }
+                }
+            }
+            for &eip in self.shared.by_page.get(&p).into_iter().flatten() {
+                let overlaps = self
+                    .shared
+                    .tbs
+                    .get(&eip)
+                    .is_some_and(|tb| pages(tb).contains(&p));
+                if overlaps && self.dead_shared.insert(eip) {
+                    self.stats.invalidations += 1;
                 }
             }
         }
@@ -408,37 +454,45 @@ impl Lofi {
     pub fn run(&mut self, max_blocks: u64) -> RunExit {
         for _ in 0..max_blocks {
             let eip = self.core.m.eip;
-            let live = match self.tbs.entry(eip) {
+            let tb = match self.tbs.entry(eip) {
                 Entry::Occupied(o) => {
                     self.stats.cache_hits += 1;
-                    o.into_mut()
+                    let live = o.into_mut();
+                    live.execs += 1;
+                    &live.tb
                 }
-                Entry::Vacant(v) => {
-                    self.tally.tb_misses += 1;
-                    match translate::translate_block(
-                        &mut self.core.m,
-                        &mut self.core.tlb,
-                        &self.core.fid,
-                        eip,
-                        self.max_tb_insns,
-                    ) {
-                        Ok(tb) => {
-                            self.stats.translations += 1;
-                            for page in pages(&tb) {
-                                self.tbs_by_page.entry(page).or_default().push(eip);
+                Entry::Vacant(v) => match self.shared.tbs.get(&eip) {
+                    Some(tb) if !self.dead_shared.contains(&eip) => {
+                        self.stats.cache_hits += 1;
+                        *self.other_execs.entry(eip).or_default() += 1;
+                        tb
+                    }
+                    _ => {
+                        self.tally.tb_misses += 1;
+                        match translate::translate_block(
+                            &mut self.core.m,
+                            &mut self.core.tlb,
+                            &self.core.fid,
+                            eip,
+                            self.max_tb_insns,
+                        ) {
+                            Ok(tb) => {
+                                self.stats.translations += 1;
+                                for page in pages(&tb) {
+                                    self.tbs_by_page.entry(page).or_default().push(eip);
+                                }
+                                &v.insert(LiveTb { tb, execs: 1 }).tb
                             }
-                            v.insert(LiveTb { tb, execs: 0 })
-                        }
-                        Err(e) => {
-                            self.tally.run_exception += 1;
-                            return RunExit::Exception(e);
+                            Err(e) => {
+                                self.tally.run_exception += 1;
+                                return RunExit::Exception(e);
+                            }
                         }
                     }
-                }
+                },
             };
-            live.execs += 1;
-            self.stats.insns += live.tb.insns as u64;
-            let exit = exec::exec_tb(&mut self.core, &live.tb);
+            self.stats.insns += tb.insns as u64;
+            let exit = exec::exec_tb(&mut self.core, tb);
             self.invalidate_dirty();
             match exit {
                 TbExit::Next(next) => {
@@ -595,15 +649,11 @@ mod tests {
         let code = [0xb9, 5, 0, 0, 0, 0x49, 0x75, 0xfd, 0xf4];
         emu.load_image(0x1000, &code);
         assert_eq!(emu.run(64), RunExit::Halted);
+        emu.share();
         let mut fork = emu.fork();
         assert_eq!(fork.machine().eip, emu.machine().eip);
-        assert_eq!(
-            fork.machine().ram.pages().count(),
-            0,
-            "a fork holds no pages"
-        );
+        assert_eq!(fork.machine().ram.to_mem(), emu.machine().ram.to_mem());
         assert!(fork.tb_exec_counts().is_empty());
-        fork.load_image(0x1000, &code);
         fork.set_eip(0x1000);
         assert_eq!(fork.run(64), RunExit::Halted);
         assert_eq!(fork.stats().translations, 0, "blocks carry over");
@@ -632,6 +682,33 @@ mod tests {
             1,
             "must execute the rewritten inc edx"
         );
+    }
+
+    #[test]
+    fn a_fork_invalidates_shared_blocks_for_itself_alone() {
+        let mut emu = Lofi::new(Fidelity::QEMU_LIKE);
+        flat(&mut emu);
+        // 0x1000: mov byte [0x1100], 0x42 ; jmp 0x1100. 0x1100: hlt.
+        emu.load_image(
+            0x1000,
+            &[
+                0xc6, 0x05, 0x00, 0x11, 0x00, 0x00, 0x42, 0xe9, 0xf4, 0x00, 0x00, 0x00,
+            ],
+        );
+        emu.load_image(0x1100, &[0xf4, 0xf4]);
+        emu.set_eip(0x1100);
+        assert_eq!(emu.run(16), RunExit::Halted);
+        emu.share();
+        // The store rewrites the shared `hlt` block's byte to `inc edx`.
+        let mut writer = emu.fork();
+        writer.set_eip(0x1000);
+        assert_eq!(writer.run(16), RunExit::Halted);
+        assert_eq!(writer.machine().gpr[2], 1, "must run the rewritten byte");
+        let mut reader = emu.fork();
+        reader.set_eip(0x1100);
+        assert_eq!(reader.run(16), RunExit::Halted);
+        assert_eq!(reader.machine().gpr[2], 0);
+        assert_eq!(reader.stats().translations, 0, "still shared");
     }
 
     #[test]

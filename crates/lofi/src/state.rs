@@ -3,15 +3,16 @@
 //!
 //! Unlike the Hi-Fi emulator, which shares the reference interpreter, the
 //! Lo-Fi emulator is an entirely separate implementation in the mold of
-//! QEMU: plain `u32` state, guest RAM as a table of 4-KiB pages allocated
-//! on first non-zero write ([`Ram`]), and EFLAGS kept *lazily* as the
-//! operands/result of the last flag-setting operation, materialized only
-//! when read. Lazy flags are one authentic source of the undefined-flag
-//! differences the paper observes (§6.2).
+//! QEMU: plain `u32` state, guest RAM as copy-on-write 4-KiB pages
+//! allocated on first non-zero write ([`Ram`]), and EFLAGS kept *lazily*
+//! as the operands/result of the last flag-setting operation, materialized
+//! only when read. Lazy flags are one authentic source of the
+//! undefined-flag differences the paper observes (§6.2).
 
 use std::fmt;
 
-use pokemu_isa::snapshot::{PagedMem, PAGE_SIZE};
+use pokemu_isa::page::{Page, PAGE_SIZE};
+use pokemu_isa::snapshot::PagedMem;
 use pokemu_isa::state::flags as fl;
 use pokemu_isa::state::PHYS_MEM_SIZE;
 
@@ -263,15 +264,19 @@ impl CcState {
 /// Pages of guest RAM.
 const PAGES: usize = PHYS_MEM_SIZE as usize / PAGE_SIZE;
 
-type Page = [u8; PAGE_SIZE];
-
-/// Guest RAM: a directly indexed table of 4-KiB pages. A page is allocated
-/// on its first non-zero write and an absent page reads as zero, so a run
-/// allocates, copies and scans only the pages it touches. Addresses wrap
-/// at [`PHYS_MEM_SIZE`].
+/// Guest RAM: copy-on-write 4-KiB pages ([`Page`]) found through a
+/// directly indexed table of page numbers. A page is allocated on its first
+/// non-zero write and an absent page reads as zero, so a run allocates,
+/// copies and scans only the pages it touches. Cloning copies the 2-KiB
+/// table and the owned pages and shares the shared ones: after
+/// [`Ram::share`], a clone copies a page only when a write first changes
+/// it. Addresses wrap at [`PHYS_MEM_SIZE`].
 #[derive(Clone)]
 pub struct Ram {
-    pages: Box<[Option<Box<Page>>; PAGES]>,
+    /// Page number → 1 + the page's position in `pages`; 0 when absent.
+    index: Box<[u16; PAGES]>,
+    /// The allocated pages and their page numbers, in ascending order.
+    pages: Vec<(u16, Page<u8>)>,
 }
 
 impl Default for Ram {
@@ -293,7 +298,8 @@ impl Ram {
     /// RAM with no page allocated: every byte reads as zero.
     pub fn new() -> Self {
         Ram {
-            pages: Box::new([const { None }; PAGES]),
+            index: Box::new([0; PAGES]),
+            pages: Vec::new(),
         }
     }
 
@@ -301,6 +307,34 @@ impl Ram {
     fn slot(addr: u32) -> (usize, usize) {
         let a = (addr % PHYS_MEM_SIZE) as usize;
         (a / PAGE_SIZE, a % PAGE_SIZE)
+    }
+
+    /// Page `pno`, if allocated.
+    fn page(&self, pno: usize) -> Option<&Page<u8>> {
+        match self.index[pno] {
+            0 => None,
+            at => Some(&self.pages[at as usize - 1].1),
+        }
+    }
+
+    /// Page `pno`, allocated zero-filled if absent.
+    fn page_or_insert(&mut self, pno: usize) -> &mut Page<u8> {
+        if self.index[pno] == 0 {
+            let at = self.pages.partition_point(|&(p, _)| (p as usize) < pno);
+            self.pages.insert(at, (pno as u16, Page::filled(0)));
+            for (i, &(p, _)) in self.pages.iter().enumerate().skip(at) {
+                self.index[p as usize] = i as u16 + 1;
+            }
+        }
+        &mut self.pages[self.index[pno] as usize - 1].1
+    }
+
+    /// Makes every page shared, so that clones of this RAM copy no page
+    /// until they write it.
+    pub fn share(&mut self) {
+        for (_, page) in &mut self.pages {
+            page.share();
+        }
     }
 
     /// Reads `size` bytes little-endian; an access inside one page looks
@@ -313,7 +347,7 @@ impl Ram {
                 v | self.read(addr.wrapping_add(i as u32), 1) << (i * 8)
             });
         }
-        match &self.pages[pno] {
+        match self.page(pno) {
             Some(page) => page[off..end]
                 .iter()
                 .rev()
@@ -322,8 +356,9 @@ impl Ram {
         }
     }
 
-    /// Writes the low `size` bytes of `val` little-endian, allocating the
-    /// page only when a written byte is non-zero. An access inside one page
+    /// Writes the low `size` bytes of `val` little-endian. A page is
+    /// allocated only when a written byte is non-zero, and a shared page is
+    /// copied only when the write changes it. An access inside one page
     /// looks the page up once.
     pub fn write(&mut self, addr: u32, val: u32, size: u8) {
         let (pno, off) = Self::slot(addr);
@@ -334,13 +369,15 @@ impl Ram {
             }
             return;
         }
-        let slot = &mut self.pages[pno];
-        if slot.is_none() && u64::from(val) & ((1 << (8 * size)) - 1) == 0 {
-            return;
+        let bytes = &val.to_le_bytes()[..size as usize];
+        match self.page(pno) {
+            None if bytes.iter().all(|&b| b == 0) => return,
+            Some(Page::Shared(shared)) if shared[off..end] == *bytes => return,
+            _ => {}
         }
         // Byte stores rather than a slice copy: a copy of 1 to 4 bytes
         // compiles to a `memcpy` call.
-        let page = slot.get_or_insert_with(|| Box::new([0; PAGE_SIZE]));
+        let page = self.page_or_insert(pno).make_mut();
         for (i, b) in page[off..end].iter_mut().enumerate() {
             *b = (val >> (i * 8)) as u8;
         }
@@ -354,10 +391,8 @@ impl Ram {
         while !rest.is_empty() {
             let (pno, off) = Self::slot(at);
             let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
-            let slot = &mut self.pages[pno];
-            if slot.is_some() || chunk.iter().any(|&b| b != 0) {
-                slot.get_or_insert_with(|| Box::new([0; PAGE_SIZE]))[off..off + chunk.len()]
-                    .copy_from_slice(chunk);
+            if self.index[pno] != 0 || chunk.iter().any(|&b| b != 0) {
+                self.page_or_insert(pno).make_mut()[off..off + chunk.len()].copy_from_slice(chunk);
             }
             at = at.wrapping_add(chunk.len() as u32);
             rest = tail;
@@ -366,15 +401,14 @@ impl Ram {
 
     /// The allocated pages as `(base address, page)`, in ascending address
     /// order. A page whose bytes were all written back to zero is included.
-    pub fn pages(&self) -> impl Iterator<Item = (u32, &[u8; PAGE_SIZE])> + '_ {
+    pub fn pages(&self) -> impl Iterator<Item = (u32, &Page<u8>)> + '_ {
         self.pages
             .iter()
-            .enumerate()
-            .filter_map(|(pno, page)| Some(((pno * PAGE_SIZE) as u32, page.as_deref()?)))
+            .map(|(pno, page)| ((*pno as usize * PAGE_SIZE) as u32, page))
     }
 
-    /// The canonical snapshot image: a copy of every allocated page that
-    /// holds a non-zero byte.
+    /// The canonical snapshot image: every allocated page that holds a
+    /// non-zero byte, shared when the page is shared and copied when owned.
     pub fn to_mem(&self) -> PagedMem {
         PagedMem::from_pages(self.pages())
     }

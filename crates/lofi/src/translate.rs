@@ -205,8 +205,11 @@ pub fn translate_block(
     max_insns: u32,
 ) -> Result<Tb, Exception> {
     let start = eip;
+    // A block of the default eight instructions rarely needs more than 64
+    // µops; reserving them spares the vector its regrowth on every
+    // translation.
     let mut e = Emit {
-        uops: Vec::new(),
+        uops: Vec::with_capacity(64),
         next_t: 0,
     };
     let mut cur = eip;

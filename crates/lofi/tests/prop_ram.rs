@@ -1,7 +1,9 @@
 //! Property tests for Lo-Fi's paged guest RAM: every access reads and
 //! writes exactly what one flat `Vec<u8>` of `PHYS_MEM_SIZE` bytes would,
 //! a page is allocated only once a non-zero byte lands in it, and a
-//! snapshot holds exactly the reference's non-zero pages.
+//! snapshot holds exactly the reference's non-zero pages. The same holds
+//! for forks of a template whose pages they share, and no fork's write
+//! reaches the template.
 
 use std::collections::BTreeSet;
 
@@ -14,6 +16,7 @@ const PAGES: u32 = PHYS_MEM_SIZE / PAGE_SIZE as u32;
 
 /// The reference: one flat RAM, plus every page a non-zero byte was ever
 /// written to.
+#[derive(Clone)]
 struct Flat {
     ram: Vec<u8>,
     touched: BTreeSet<u32>,
@@ -92,6 +95,52 @@ fn value(g: &mut Gen) -> u32 {
     }
 }
 
+/// One random write, read, image load or page clear, checked against the
+/// reference.
+fn step(g: &mut Gen, emu: &mut Lofi, flat: &mut Flat, pages: &[u32]) {
+    let addr = address(g, pages);
+    match g.range(0..8u8) {
+        0..=2 => {
+            let (val, size) = (value(g), *g.choose(&[1u8, 2, 4]));
+            emu.machine_mut().phys_write(addr, val, size);
+            flat.load(addr, &val.to_le_bytes()[..size as usize]);
+        }
+        3..=5 => {
+            let size = *g.choose(&[1u8, 2, 4]);
+            assert_eq!(
+                emu.machine().phys_read(addr, size),
+                flat.read(addr, size),
+                "{size}-byte read at {addr:#x}"
+            );
+        }
+        6 => {
+            // Across pages, sometimes past the end of RAM, sometimes all
+            // zero.
+            let len = g.range(1..2 * PAGE_SIZE + 64);
+            let zero = g.bool(0.3);
+            let bytes: Vec<u8> = (0..len).map(|_| if zero { 0 } else { g.gen() }).collect();
+            let at = if g.bool(0.3) {
+                PHYS_MEM_SIZE - g.range(1..64u32)
+            } else {
+                addr
+            };
+            emu.load_image(at, &bytes);
+            flat.load(at, &bytes);
+        }
+        _ => {
+            // Zero a whole page, which may hold non-zero bytes.
+            let base = addr & !(PAGE_SIZE as u32 - 1);
+            emu.load_image(base, &[0; PAGE_SIZE]);
+            flat.load(base, &[0; PAGE_SIZE]);
+        }
+    }
+}
+
+/// The base addresses of the pages `emu`'s RAM holds.
+fn allocated(emu: &Lofi) -> Vec<u32> {
+    emu.machine().ram.pages().map(|(base, _)| base).collect()
+}
+
 pokemu_rt::prop! {
     /// Random reads, writes and image loads agree with the flat reference,
     /// and the snapshot is its canonical image.
@@ -100,48 +149,37 @@ pokemu_rt::prop! {
         let mut emu = Lofi::new(Fidelity::QEMU_LIKE);
         let mut flat = Flat::new();
         for _ in 0..g.range(1..64usize) {
-            let addr = address(g, &pages);
-            match g.range(0..8u8) {
-                0..=2 => {
-                    let (val, size) = (value(g), *g.choose(&[1u8, 2, 4]));
-                    emu.machine_mut().phys_write(addr, val, size);
-                    flat.load(addr, &val.to_le_bytes()[..size as usize]);
-                }
-                3..=5 => {
-                    let size = *g.choose(&[1u8, 2, 4]);
-                    assert_eq!(
-                        emu.machine().phys_read(addr, size),
-                        flat.read(addr, size),
-                        "{size}-byte read at {addr:#x}"
-                    );
-                }
-                6 => {
-                    // Across pages, sometimes past the end of RAM, sometimes
-                    // all zero.
-                    let len = g.range(1..2 * PAGE_SIZE + 64);
-                    let zero = g.bool(0.3);
-                    let bytes: Vec<u8> =
-                        (0..len).map(|_| if zero { 0 } else { g.gen() }).collect();
-                    let at = if g.bool(0.3) {
-                        PHYS_MEM_SIZE - g.range(1..64u32)
-                    } else {
-                        addr
-                    };
-                    emu.load_image(at, &bytes);
-                    flat.load(at, &bytes);
-                }
-                _ => {
-                    // Zero a whole page, which may hold non-zero bytes.
-                    let base = addr & !(PAGE_SIZE as u32 - 1);
-                    emu.load_image(base, &[0; PAGE_SIZE]);
-                    flat.load(base, &[0; PAGE_SIZE]);
-                }
-            }
+            step(g, &mut emu, &mut flat, &pages);
         }
-        let allocated: Vec<u32> = emu.machine().ram.pages().map(|(base, _)| base).collect();
         let touched: Vec<u32> = flat.touched.iter().map(|p| p * PAGE_SIZE as u32).collect();
-        assert_eq!(allocated, touched, "pages are allocated on a non-zero write");
+        assert_eq!(allocated(&emu), touched, "pages are allocated on a non-zero write");
         assert_eq!(emu.snapshot(RunExit::Halted).mem, flat.image());
+    }
+
+    /// Two forks of a template whose RAM is shared, each driven by its own
+    /// random accesses: every read matches the fork's own reference, each
+    /// snapshot is its reference's image, and the template never changes.
+    fn forked_ram_matches_its_own_flat_ram(g, cases = 48) {
+        let pages = g.vec(1, 6, page);
+        let mut template = Lofi::new(Fidelity::QEMU_LIKE);
+        let mut template_flat = Flat::new();
+        for _ in 0..g.range(0..32usize) {
+            step(g, &mut template, &mut template_flat, &pages);
+        }
+        template.share();
+        let image = template_flat.image();
+        let mut forks = [template.fork(), template.fork()];
+        let mut flats = [template_flat.clone(), template_flat.clone()];
+        for _ in 0..g.range(1..64usize) {
+            let i = g.range(0..2usize);
+            step(g, &mut forks[i], &mut flats[i], &pages);
+        }
+        assert_eq!(template.snapshot(RunExit::Halted).mem, image, "the template never changes");
+        for (i, (fork, flat)) in forks.iter().zip(&flats).enumerate() {
+            let touched: Vec<u32> = flat.touched.iter().map(|p| p * PAGE_SIZE as u32).collect();
+            assert_eq!(allocated(fork), touched, "fork {i} holds the template's pages and its own");
+            assert_eq!(fork.snapshot(RunExit::Halted).mem, flat.image(), "fork {i}");
+        }
     }
 }
 

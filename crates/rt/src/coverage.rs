@@ -95,6 +95,21 @@ impl CoverageMap {
         self.0.words[i / 64].fetch_or(1u64 << (i % 64), Ordering::Relaxed);
     }
 
+    /// Sets the bits of `bits` in 64-bit word `word` of the map (bit
+    /// indices `64 * word` and up), skipping the atomic write when they are
+    /// all set already: a hot site collects what it saw locally and
+    /// publishes it once.
+    #[inline]
+    pub fn set_word(&self, word: usize, bits: u64) {
+        if !enabled() {
+            return;
+        }
+        let w = &self.0.words[word];
+        if bits & !w.load(Ordering::Relaxed) != 0 {
+            w.fetch_or(bits, Ordering::Relaxed);
+        }
+    }
+
     /// The map's size in bits.
     pub fn bits(&self) -> usize {
         self.0.bits
@@ -434,6 +449,19 @@ mod tests {
         m.set(65);
         let d = snapshot().since(&before);
         assert_eq!(d.map("test.coverage.since").unwrap().indices(), vec![65]);
+    }
+
+    #[test]
+    fn set_word_sets_the_bits_of_one_word() {
+        let _g = serialize();
+        set_enabled(true);
+        let m = map("test.coverage.words", 128);
+        m.set_word(0, 1 << 5);
+        m.set_word(1, 1 << 3 | 1 << 4);
+        m.set_word(1, 1 << 3); // already set
+        let s = snapshot();
+        let ms = s.map("test.coverage.words").unwrap();
+        assert_eq!(ms.indices(), vec![5, 67, 68]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! yield width-1 values; [`Dom::branch`] turns a width-1 value into control
 //! flow.
 
-use pokemu_solver::Width;
+use pokemu_solver::{TermId, Width};
 
 /// Operations on machine words, implemented by concrete and symbolic domains.
 ///
@@ -23,7 +23,7 @@ use pokemu_solver::Width;
 /// fill pattern.
 pub trait Dom {
     /// A machine word of known width (concrete or symbolic).
-    type V: Copy + std::fmt::Debug;
+    type V: Stored;
 
     /// Creates the constant `v` masked to width `w`.
     fn constant(&mut self, w: Width, v: u64) -> Self::V;
@@ -165,6 +165,53 @@ pub trait Dom {
     fn branch_nonzero(&mut self, v: Self::V, site: &'static str) -> bool {
         let c = self.nonzero(v);
         self.branch(c, site)
+    }
+}
+
+/// How a value is stored as one byte of guest memory (`isa::Memory`).
+///
+/// There are two domains, so each value type names its own slot: a
+/// concrete byte packs into a `u8`, and an unwritten byte is zero; a term
+/// keeps its id, and an unwritten byte stays empty until a read
+/// materializes it.
+pub trait Stored: Copy + std::fmt::Debug {
+    /// One byte of memory.
+    type Slot: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static;
+    /// The slot of a byte nothing was stored in.
+    const EMPTY: Self::Slot;
+    /// The slot holding the 8-bit value `self`.
+    fn to_slot(self) -> Self::Slot;
+    /// The byte in `slot`, or `None` when it is empty and its value is up
+    /// to the memory's missing-byte policy.
+    fn from_slot(slot: Self::Slot) -> Option<Self>;
+}
+
+impl Stored for CVal {
+    type Slot = u8;
+    const EMPTY: u8 = 0;
+
+    fn to_slot(self) -> u8 {
+        self.v as u8
+    }
+
+    fn from_slot(slot: u8) -> Option<CVal> {
+        Some(CVal {
+            v: slot as u64,
+            w: 8,
+        })
+    }
+}
+
+impl Stored for TermId {
+    type Slot = Option<TermId>;
+    const EMPTY: Option<TermId> = None;
+
+    fn to_slot(self) -> Option<TermId> {
+        Some(self)
+    }
+
+    fn from_slot(slot: Option<TermId>) -> Option<TermId> {
+        slot
     }
 }
 

@@ -20,6 +20,7 @@ use pokemu_rt::{coverage, metrics, FxHashMap, Rng};
 use pokemu_solver::{origin, BvSolver, Model, SatResult, TermId, TermPool, VarId, Width};
 
 use crate::dom::Dom;
+use crate::minimize;
 use crate::summary::Summary;
 use crate::tree::{DecisionTree, Feasibility, NodeId};
 
@@ -175,6 +176,9 @@ struct EngineMetrics {
     unknown_branches: metrics::Counter,
     infeasible_paths: metrics::Counter,
     deadline_trips: metrics::Counter,
+    /// `pick` models that violate the path condition they were asked
+    /// for (`solver.model_invalid`, with exploration's path-end models).
+    model_invalid: metrics::Counter,
     /// Path-id coverage bitmap (`coverage.path`): one bit per explored
     /// path-decision hash, modulo the map size.
     path_cov: coverage::CoverageMap,
@@ -195,6 +199,7 @@ impl EngineMetrics {
             unknown_branches: metrics::counter("symx.unknown_branches"),
             infeasible_paths: metrics::counter("symx.infeasible_paths"),
             deadline_trips: metrics::counter("symx.deadline_trips"),
+            model_invalid: metrics::counter("solver.model_invalid"),
             path_cov: coverage::map("coverage.path", PATH_COVERAGE_BITS),
         }
     }
@@ -750,6 +755,16 @@ impl Dom for Executor {
                 return 0;
             }
         };
+        // Validate the model: a violated conjunct is a blaster or SAT-core
+        // bug surfacing in a production run.
+        let all_vars: Vec<u64> = (0..self.pool.num_vars() as u32)
+            .map(|v| model.value_or(VarId(v), 0))
+            .collect();
+        if !minimize::holds(&self.pool, &self.path, &all_vars) {
+            self.metrics.model_invalid.inc();
+            let path = self.path_hash;
+            pokemu_rt::flight::note("symx.invalid_pick_model", || format!("path={path:016x}"));
+        }
         // Evaluate under the model, defaulting unconstrained variables to 0.
         let mut env: HashMap<VarId, u64> = HashMap::new();
         for var in self.pool.variables_of(v) {

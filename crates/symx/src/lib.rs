@@ -31,7 +31,7 @@ pub mod minimize;
 pub mod summary;
 pub mod tree;
 
-pub use dom::{CVal, Concrete, Dom};
+pub use dom::{CVal, Concrete, Dom, Stored};
 pub use engine::{
     Executor, Exploration, ExploreConfig, ExploreStats, PathOutcome, PATH_COVERAGE_BITS,
 };

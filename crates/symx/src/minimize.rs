@@ -18,8 +18,9 @@
 //! because the working assignment satisfies every conjunct between steps
 //! and a conjunct outside the cone cannot change.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
+use pokemu_rt::{FxHashMap, FxHashSet};
 use pokemu_solver::{mask, Model, TermId, TermPool, VarId};
 
 /// Statistics from one minimization run (experiment E8).
@@ -125,6 +126,12 @@ pub fn minimize(
     (minimized, stats)
 }
 
+/// Whether every conjunct of `path_condition` holds when each variable `v`
+/// takes `env[v]`. Each term the conjuncts share is evaluated once.
+pub(crate) fn holds(pool: &TermPool, path_condition: &[TermId], env: &[u64]) -> bool {
+    Flat::new(pool, path_condition, env).holds()
+}
+
 /// A path condition flattened into topological order — ascending term id,
 /// see [`TermPool::operands`] — with every node's value under the working
 /// assignment.
@@ -147,7 +154,7 @@ struct FlatNode {
 
 impl Flat {
     fn new(pool: &TermPool, path_condition: &[TermId], env: &[u64]) -> Flat {
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut terms = Vec::new();
         let mut stack = path_condition.to_vec();
         while let Some(t) = stack.pop() {
@@ -157,7 +164,7 @@ impl Flat {
             }
         }
         terms.sort_unstable();
-        let at: HashMap<TermId, u32> = terms
+        let at: FxHashMap<TermId, u32> = terms
             .iter()
             .enumerate()
             .map(|(i, &t)| (t, i as u32))

@@ -33,13 +33,16 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test"
 cargo test --workspace --offline -q
 
-echo "== solver, Lo-Fi and ISA tests in release (no debug assertions, release arithmetic)"
+echo "== solver, Lo-Fi, ISA and fork tests in release (no debug assertions, release arithmetic)"
 # The SAT core's brute-force tests and the search fingerprint again, built
 # the way the pipeline runs them: clause-arena offsets and watch invariants
 # are then checked by the answers alone, with no debug_assert to lean on.
 # Likewise Lo-Fi's page table and the snapshot pages: their page-number and
-# wrap arithmetic runs without overflow checks in release builds.
+# wrap arithmetic runs without overflow checks in release builds. The fork
+# tests run every target's forks, which share the templates' pages, as
+# liftbench runs them.
 cargo test --release --offline -q -p pokemu-solver -p pokemu-lofi -p pokemu-isa
+cargo test --release --offline -q -p pokemu-harness --test fork_equivalence
 
 echo "== liftbench tests (the lifted-test benchmark of BENCHMARK.json)"
 cargo test --offline -q --manifest-path liftbench/Cargo.toml
@@ -99,9 +102,12 @@ echo "== perf attribution and e3 inversion gate"
 # perf --check fails if the run's stage spans cover less than 95% of
 # pipeline.run, or if the median target.lofi span is longer than the
 # median target.hifi span (the e3 inversion: the DBT slower than the
-# interpreter per lifted test). The median hifi/lofi reads well above 1 on
-# the smoke run; means are not gated, since one template build stalled by
-# a few ms moves a 17-run mean past 1.
+# interpreter per lifted test). The median hifi/lofi reads 1.43-1.82 on
+# the smoke run (21 runs, 10 of them beside two busy loops on a 2-vCPU
+# VM): forks share the templates' pages, so neither target pays a fixed
+# fork or snapshot cost that hides the other's execution. Means are not
+# gated, since one template build stalled by a few ms moves a 17-run mean
+# past 1.
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- perf --check --top 5
 
 echo "== attribution below the top level (explore.state_space self time)"
